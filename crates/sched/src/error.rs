@@ -46,9 +46,10 @@ pub enum SchedError {
         /// Number of nodes in the cluster.
         nodes: usize,
     },
-    /// A streaming-replay error: bad arrival config, malformed trace line,
-    /// snapshot I/O failure, or a snapshot that does not match the run
-    /// configuration.
+    /// An arrival-source or event-loop error: bad arrival config, malformed
+    /// or unsorted trace line, snapshot I/O failure, a snapshot that does
+    /// not match the run configuration, or an event queue that drained with
+    /// work left.
     Stream {
         /// Human-readable description.
         msg: String,

@@ -11,11 +11,13 @@
 //!   [`PlacePolicy::Spread`], [`PlacePolicy::TopologyAware`] — over a
 //!   [`aiacc_cluster::GpuFreeList`], always producing *regular* gang shapes
 //!   that every collective builder already understands.
-//! - [`multijob`]: the [`MultiJobSim`] driver, which multiplexes one
-//!   [`aiacc_core::ddl::DdlEngine`] per running job over a single shared
+//! - [`multijob`]: the [`MultiJobSim`] scheduler, which multiplexes one
+//!   [`aiacc_trainer::JobDriver`] per running job over a single shared
 //!   [`aiacc_simnet::Simulator`] event loop, so cross-job fabric contention
 //!   emerges from the max-min flow allocation rather than from an analytic
 //!   slowdown model.
+//! - [`stream`]: the same loop fed by an open-loop arrival source, with
+//!   outcomes folded into windowed metrics in O(window) memory.
 //! - [`metrics`]: tail-JCT percentiles, queueing delay, makespan, fabric
 //!   utilization, and Jain fairness per scenario.
 //!

@@ -1,14 +1,26 @@
-//! The multi-job driver: every job's engine multiplexed over one shared
+//! The multi-job scheduler: every job's engine multiplexed over one shared
 //! `Simulator`/`FlowNet`.
 //!
-//! Each running job is a faithful copy of the single-job
-//! [`aiacc_trainer::TrainingSim`] iteration state machine — same compute
-//! schedule (via [`aiacc_trainer::schedule_worker_compute`]), same stream
-//! limits, same iteration-boundary drain semantics — but its collectives run
-//! on a [`aiacc_cluster::ClusterNet::subnet`] view of the shared physical
-//! fabric, so concurrent jobs' flows contend inside one max-min allocation.
-//! With a single job the event sequence degenerates to exactly the
-//! single-job path, which is what makes the N=1 bit-identity guarantee hold.
+//! Each running job is driven by an [`aiacc_trainer::JobDriver`], the same
+//! per-job state machine the single-job [`aiacc_trainer::TrainingSim`]
+//! runs — same compute schedule, same stream limits, same engine callbacks
+//! — plus the scheduler's own iteration-boundary drain, which mirrors
+//! `TrainingSim`'s. Its collectives run on a
+//! [`aiacc_cluster::ClusterNet::subnet`] view of the shared physical fabric,
+//! so concurrent jobs' flows contend inside one max-min allocation. With a
+//! single job the event sequence degenerates to exactly the single-job path,
+//! which is what makes the N=1 bit-identity guarantee hold.
+//!
+//! # One loop for batch and streaming
+//!
+//! Jobs arrive from an arrival source, one staged arrival at a time, and are
+//! admitted into a pool of recycled job *slots*. A batch scenario is a
+//! stream over a finite in-memory source — the workload's specs in
+//! `(arrival, id)` order — with one slot per job; [`crate::stream`] feeds the
+//! same loop from an open-loop generator or a trace file through a bounded
+//! pool. The one difference is where finished outcomes go: a batch run keeps
+//! them by job id for its [`MultiJobReport`], a streaming run folds them into
+//! windowed metrics.
 //!
 //! # Failure model
 //!
@@ -26,43 +38,44 @@
 //!
 //! Determinism argument for the shared event loop: the simulator delivers
 //! events in `(time, schedule-order)` order; every event is routed to its
-//! owning job either by the scope stamped into its token's high bits
+//! owning slot either by the scope stamped into its token's high bits
 //! ([`aiacc_simnet::Simulator::set_token_scope`]) or by probing
-//! `CollectiveEngine::owns_flow` in ascending job order. Scopes carry a
-//! per-job *epoch* that is bumped on every crash recovery, so events from an
-//! aborted attempt can never leak into the resumed one. No routing decision
-//! depends on wall-clock, hashing, or thread interleaving, so a scenario is
-//! a pure function of (cluster, workload, policy, faults).
+//! `JobDriver::owns_flow`. Scopes carry the slot's *generation*, bumped on
+//! every crash recovery and every departure past any generation whose
+//! scope still has timers queued, so events from an aborted attempt or a
+//! previous tenant can never leak into the current one. Crash
+//! victims, fault broadcasts and the straggler detector visit running jobs
+//! in job-id order. No routing decision depends on wall-clock, hashing, or
+//! thread interleaving, so a scenario is a pure function of (cluster,
+//! workload, policy, faults).
+
+use std::collections::VecDeque;
 
 use crate::error::SchedError;
 use crate::placement::{try_place, PlacePolicy, Placement};
-use crate::stream::StreamState;
+use crate::stream::{validate_spec, Acc, ArrivalSource, Snapshots, Windows};
 use crate::workload::{JobSpec, Workload};
 use aiacc_cluster::{ClusterNet, ClusterSpec, ComputeModel, GpuFreeList, IterationTiming};
-use aiacc_collectives::CollectiveEngine;
-use aiacc_core::ddl::{DdlCtx, DdlEngine, ENGINE_TIMER_KIND};
-use aiacc_dnn::{zoo, DType, GradId, ModelProfile};
+use aiacc_dnn::{zoo, DType, ModelProfile};
 use aiacc_simnet::trace::track;
 use aiacc_simnet::{
     Event, FaultPhase, FaultPlan, FaultRecord, FaultTarget, FlowId, SimDuration, SimTime,
     Simulator, SolverStats, Token,
 };
 use aiacc_trainer::recovery::{replay_elastic_join, replay_failure_recovery, RecoveryConfig};
-use aiacc_trainer::{
-    comm_stream_limits, schedule_worker_compute, ComputeAttempt, Framework, BWD_KIND, GRAD_KIND,
-};
+use aiacc_trainer::{comm_stream_limits, ComputeAttempt, Framework, JobDriver};
 
-/// Unscoped timer kind announcing a job arrival (`a` = job id).
-pub(crate) const ARRIVAL_KIND: u32 = 10;
+/// Unscoped timer kind announcing the staged arrival (`a` = job id).
+const ARRIVAL_KIND: u32 = 10;
 /// Scoped timer kind marking a job's iteration boundary (`b` = iteration).
 const BOUNDARY_KIND: u32 = 11;
 /// Unscoped timer kind for a node crash (`a` = node).
-pub(crate) const CRASH_KIND: u32 = 12;
+const CRASH_KIND: u32 = 12;
 /// Unscoped timer kind for a node repair (`a` = node).
-pub(crate) const REPAIR_KIND: u32 = 13;
+const REPAIR_KIND: u32 = 13;
 /// Unscoped timer kind re-queueing a restarted job after its checkpoint
-/// restore completes (`a` = job id).
-pub(crate) const REQUEUE_KIND: u32 = 14;
+/// restore completes (`a` = slot, `b` = the slot generation it belongs to).
+const REQUEUE_KIND: u32 = 14;
 /// Scoped timer kind resuming a shrunken gang after its elastic-join pause.
 const RESUME_KIND: u32 = 15;
 
@@ -71,6 +84,11 @@ const EWMA_ALPHA: f64 = 0.5;
 /// Floor on the synthetic NIC-health capacity ratio a mitigation reports —
 /// the stream pool never collapses below a quarter of its configured size.
 const MITIGATION_FLOOR: f64 = 0.25;
+/// The largest slot pool that leaves two generations in the 16-bit token
+/// scope. A batch scenario gets one slot per job up to this size; beyond
+/// it, a job waits for a slot only while this many jobs are running or
+/// suspended at once.
+pub(crate) const MAX_SLOTS: usize = 0xFFFF / 2;
 
 /// What to do with a job whose gang lost a node to a crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -304,83 +322,59 @@ pub struct MultiJobReport {
     pub solver: SolverStats,
 }
 
-/// One running job's iteration state (the fields `TrainingSim` keeps between
-/// events, per job).
-pub(crate) struct RunningJob {
+/// Iteration progress of one job; kept across checkpoint restarts.
+struct Progress {
+    iter: u64,
+    iter_secs: Vec<f64>,
+    started_at: SimTime,
+    iter_start: SimTime,
+}
+
+/// One placed gang's execution state.
+struct RunningJob {
     placement: Placement,
-    cluster: ClusterNet,
-    coll: CollectiveEngine,
-    engine: Box<dyn DdlEngine>,
+    driver: JobDriver,
     timing: IterationTiming,
-    streams_busy: usize,
-    streams_idle: usize,
-    iter: u64,
-    busy_workers: usize,
     last_bwd: SimTime,
+    /// Between comm-done and the iteration boundary: the job's events are
+    /// dropped, as in `TrainingSim`'s drain.
     draining: bool,
-    iter_start: SimTime,
-    started_at: SimTime,
-    iter_secs: Vec<f64>,
 }
 
-/// Iteration progress preserved while a crashed job waits to be re-placed.
-pub(crate) struct SavedProgress {
-    iter: u64,
-    iter_secs: Vec<f64>,
-    started_at: SimTime,
-    iter_start: SimTime,
-}
-
-pub(crate) enum JobState {
-    /// Streaming only: the slot holds no job (its `spec`/`model` are
-    /// placeholders). Batch scenarios never enter this state.
-    Vacant,
-    /// Not yet arrived, or arrived and waiting in the queue.
-    Pending,
-    Running(Box<RunningJob>),
-    /// Crashed under [`RecoveryPolicy::Restart`]: gang released, restoring
-    /// its checkpoint until the re-queue timer fires.
-    Suspended(SavedProgress),
-    Done,
-}
-
-pub(crate) struct JobRun {
-    /// The job currently occupying this entry. In batch mode the entry index
-    /// *is* the job id; in streaming mode entries are slots that successive
-    /// jobs move through and `spec.id` carries the global id.
-    pub(crate) spec: JobSpec,
-    pub(crate) model: ModelProfile,
-    pub(crate) state: JobState,
-    pub(crate) outcome: Option<JobOutcome>,
-    /// Bumped on every crash recovery (and, in streaming mode, on every slot
-    /// reuse); events stamped with a stale epoch are dropped on delivery.
-    pub(crate) epoch: u32,
-    /// Every token scope this job has used (one per epoch), for byte
-    /// accounting across restarts.
-    pub(crate) scopes: Vec<u32>,
-    pub(crate) crashes: u32,
-    pub(crate) restarts: u32,
-    pub(crate) shrinks: u32,
-    pub(crate) recovery_secs: f64,
-    pub(crate) mitigations: u32,
+/// One admitted job.
+struct JobRun {
+    spec: JobSpec,
+    model: ModelProfile,
+    /// `None` while suspended: restoring a checkpoint under
+    /// [`RecoveryPolicy::Restart`], then waiting to be re-placed.
+    running: Option<Box<RunningJob>>,
+    progress: Progress,
+    /// Every token scope this job has used, for byte accounting across
+    /// restarts.
+    scopes: Vec<u32>,
+    crashes: u32,
+    restarts: u32,
+    shrinks: u32,
+    recovery_secs: f64,
+    mitigations: u32,
     /// EWMA of iteration seconds (straggler detector).
-    pub(crate) ewma_iter: Option<f64>,
+    ewma_iter: Option<f64>,
     /// Fastest iteration seen so far (the job's own healthy baseline).
-    pub(crate) best_iter: Option<f64>,
+    best_iter: Option<f64>,
     /// Whether a synthetic NIC-health mitigation is currently applied.
-    pub(crate) mitigated: bool,
+    mitigated: bool,
     /// Capacity the active mitigation advertised (for the restore record).
-    pub(crate) mitigation_cap: f64,
+    mitigation_cap: f64,
 }
 
 impl JobRun {
-    fn new(model: ModelProfile, spec: JobSpec) -> Self {
+    /// A freshly admitted job at `now`, before its first placement.
+    fn new(spec: JobSpec, now: SimTime) -> JobRun {
         JobRun {
+            model: zoo::by_name(&spec.model).expect("spec validated at emission"),
             spec,
-            model,
-            state: JobState::Pending,
-            outcome: None,
-            epoch: 0,
+            running: None,
+            progress: Progress { iter: 0, iter_secs: Vec::new(), started_at: now, iter_start: now },
             scopes: Vec::new(),
             crashes: 0,
             restarts: 0,
@@ -394,44 +388,59 @@ impl JobRun {
         }
     }
 
-    /// An empty streaming slot (placeholder spec/model, never read while
-    /// vacant).
-    pub(crate) fn vacant() -> Self {
-        let spec = JobSpec {
-            id: 0,
-            arrival_secs: 0.0,
-            model: "tiny_cnn".to_string(),
-            gpus: 1,
-            engine: aiacc_trainer::EngineKind::aiacc_default(),
-            iterations: 1,
-            seed: 0,
-        };
-        let model = zoo::by_name("tiny_cnn").expect("tiny_cnn in zoo");
-        let mut run = JobRun::new(model, spec);
-        run.state = JobState::Vacant;
-        run
+    /// The job's outcome on finishing at `t`; `bytes` is
+    /// `(delivered, launched)` over every scope it ran under.
+    fn into_outcome(
+        self,
+        t: SimTime,
+        nodes_used: usize,
+        bytes: (f64, f64),
+        failed: bool,
+    ) -> JobOutcome {
+        JobOutcome {
+            id: self.spec.id,
+            engine: self.spec.engine.label().to_string(),
+            model: self.spec.model,
+            gpus: self.spec.gpus,
+            arrival_secs: self.spec.arrival_secs,
+            start_secs: self.progress.started_at.as_secs_f64(),
+            finish_secs: t.as_secs_f64(),
+            nodes_used,
+            iter_secs: self.progress.iter_secs,
+            comm_bytes_delivered: bytes.0,
+            comm_bytes_launched: bytes.1,
+            crashes: self.crashes,
+            restarts: self.restarts,
+            shrinks: self.shrinks,
+            recovery_secs: self.recovery_secs,
+            mitigations: self.mitigations,
+            failed,
+        }
     }
+}
 
-    /// Re-arms a vacant streaming slot for its next tenant: installs the
-    /// spec/model, clears all per-job accounting, and keeps `epoch` (the
-    /// slot's generation counter, bumped when the previous tenant left).
-    pub(crate) fn install(&mut self, model: ModelProfile, spec: JobSpec) {
-        debug_assert!(matches!(self.state, JobState::Vacant), "installing into occupied slot");
-        self.spec = spec;
-        self.model = model;
-        self.state = JobState::Pending;
-        self.outcome = None;
-        self.scopes.clear();
-        self.crashes = 0;
-        self.restarts = 0;
-        self.shrinks = 0;
-        self.recovery_secs = 0.0;
-        self.mitigations = 0;
-        self.ewma_iter = None;
-        self.best_iter = None;
-        self.mitigated = false;
-        self.mitigation_cap = 0.0;
-    }
+/// A recycled job slot.
+pub(crate) struct Slot {
+    /// Generation counter: bumped on every crash recovery and every
+    /// departure, so events stamped with an older generation are dropped.
+    pub(crate) epoch: u32,
+    /// The tenant, `None` while the slot is vacant.
+    job: Option<JobRun>,
+}
+
+/// FIFO backlog entry: a suspended slot awaiting re-placement, or an arrived
+/// job not yet admitted to a slot.
+enum QueueEntry {
+    Slot(usize),
+    Spec(JobSpec),
+}
+
+/// Where finished outcomes go.
+pub(crate) enum Outcomes {
+    /// Batch: kept by job id for the [`MultiJobReport`].
+    Keep(Vec<Option<JobOutcome>>),
+    /// Streaming: folded into the windowed metrics.
+    Fold(Windows),
 }
 
 /// The multi-job scheduler/simulator.
@@ -440,89 +449,66 @@ pub struct MultiJobSim {
     pub(crate) sim: Simulator,
     pub(crate) physical: ClusterNet,
     pub(crate) free: GpuFreeList,
-    pub(crate) faults: FaultPlan,
-    pub(crate) jobs: Vec<JobRun>,
-    /// FIFO queue of arrived-but-unplaced job ids (batch mode; streaming
-    /// keeps its own queue of slots and not-yet-admitted specs).
-    pub(crate) queue: Vec<usize>,
+    faults: FaultPlan,
+    pub(crate) slots: Vec<Slot>,
+    /// Modulus folding slot generations into the 16-bit scope space:
+    /// `0xFFFF / nslots`.
+    gen_mod: u32,
+    /// Vacant slot indices, least recently vacated first, so a batch of at
+    /// most `MAX_SLOTS` jobs never reuses a slot and a stream spreads reuse
+    /// over the whole pool.
+    pub(crate) free_slots: VecDeque<usize>,
+    pub(crate) source: ArrivalSource,
+    /// The one future arrival whose timer is in the event queue.
+    pub(crate) staged: Option<JobSpec>,
+    source_done: bool,
+    /// FIFO backlog in arrival order.
+    queue: VecDeque<QueueEntry>,
+    /// Conservative lower bound on the smallest gang size in `queue` (only
+    /// lowered on push, reset when the queue empties): the backfill walk is
+    /// skipped whenever fewer GPUs than this are free.
+    min_queued_gpus: usize,
+    /// Conservative upper bound on the largest gang size in `queue` (only
+    /// raised on push, reset when the queue empties): rules out hopeless
+    /// entries without a walk.
+    max_queued_gpus: usize,
     /// Repair events still scheduled to fire; while any remain, an
     /// unplaceable job keeps waiting instead of being declared impossible.
-    pub(crate) pending_repairs: usize,
-    /// `Some` puts the driver in streaming mode: `jobs` become recycled
-    /// slots, arrivals come from an open-loop source, and finished jobs fold
-    /// into windowed metrics instead of accumulating outcomes.
-    pub(crate) stream: Option<Box<StreamState>>,
+    pending_repairs: usize,
+    /// Crash timers still in the event queue.
+    pending_crashes: usize,
+    pub(crate) acc: Acc,
+    pub(crate) outcomes: Outcomes,
+    pub(crate) snap: Snapshots,
 }
 
 impl MultiJobSim {
     /// Builds the scenario — physical resources, fault plan (link faults,
-    /// crash/repair timers), arrival timers — after validating the config.
-    pub fn try_new(cfg: MultiJobCfg) -> Result<Self, SchedError> {
+    /// crash/repair timers), the first arrival — after validating the
+    /// config.
+    pub fn try_new(mut cfg: MultiJobCfg) -> Result<Self, SchedError> {
         if cfg.workload.jobs.is_empty() {
             return Err(SchedError::EmptyWorkload);
         }
         let total = cfg.cluster.world_size();
-        let nodes = cfg.cluster.nodes;
         for (i, j) in cfg.workload.jobs.iter().enumerate() {
             if j.id != i {
                 return Err(SchedError::NonDenseJobIds { index: i, id: j.id });
             }
-            if j.gpus == 0 || j.gpus > total {
-                return Err(SchedError::BadGangSize { job: i, gpus: j.gpus, capacity: total });
-            }
-            if j.iterations == 0 {
-                return Err(SchedError::ZeroIterations { job: i });
-            }
-            if zoo::by_name(&j.model).is_none() {
-                return Err(SchedError::UnknownModel { job: i, model: j.model.clone() });
-            }
+            validate_spec(j, total)?;
         }
-        for ev in cfg.faults.events() {
-            if let FaultTarget::Node(n) = ev.target {
-                if n as usize >= nodes {
-                    return Err(SchedError::FaultNodeOutOfRange { node: n, nodes });
-                }
-            }
-        }
-
-        let mut sim = Simulator::new();
-        if cfg.trace {
-            sim.enable_tracing();
-        }
-        let physical = ClusterNet::build(&cfg.cluster, sim.net_mut());
-        let free = GpuFreeList::new(&cfg.cluster);
-        let faults = cfg.faults.resolve_links(|n| {
-            vec![physical.node_tx_resource(n as usize), physical.node_rx_resource(n as usize)]
-        });
-        sim.install_faults(&faults);
-        let mut jobs = Vec::with_capacity(cfg.workload.jobs.len());
-        for (i, j) in cfg.workload.jobs.iter().enumerate() {
-            let model = zoo::by_name(&j.model).expect("validated above");
-            sim.schedule_at(
-                SimTime::from_secs_f64(j.arrival_secs),
-                Token::new(ARRIVAL_KIND, i as u32, 0),
-            );
-            jobs.push(JobRun::new(model, j.clone()));
-        }
-        let mut pending_repairs = 0;
-        for (node, at, repair) in faults.crash_spans() {
-            sim.schedule_at(at, Token::new(CRASH_KIND, node, 0));
-            if let Some(up_at) = repair {
-                sim.schedule_at(up_at, Token::new(REPAIR_KIND, node, 0));
-                pending_repairs += 1;
-            }
-        }
-        Ok(MultiJobSim {
+        validate_fault_nodes(&cfg)?;
+        let njobs = cfg.workload.jobs.len();
+        let source = ArrivalSource::finite(std::mem::take(&mut cfg.workload.jobs));
+        let mut sim = MultiJobSim::assemble(
             cfg,
-            sim,
-            physical,
-            free,
-            faults,
-            jobs,
-            queue: Vec::new(),
-            pending_repairs,
-            stream: None,
-        })
+            source,
+            njobs.min(MAX_SLOTS),
+            Outcomes::Keep(vec![None; njobs]),
+            Snapshots::default(),
+        );
+        sim.start_fresh()?;
+        Ok(sim)
     }
 
     /// Builds the scenario, panicking on an invalid config (the fallible
@@ -534,381 +520,540 @@ impl MultiJobSim {
         MultiJobSim::try_new(cfg).unwrap_or_else(|e| panic!("invalid multi-job scenario: {e}"))
     }
 
-    /// The scope stamped on job `id`'s tokens and flows in its current
-    /// epoch: `1 + id + epoch·njobs`. Epoch 0 reduces to `id + 1` (scope 0
-    /// stays reserved for scheduler-level events), so fault-free scenarios
-    /// produce exactly the pre-crash-support event stream.
-    ///
-    /// Streaming mode reuses the 16-bit scope space forever by folding the
-    /// slot's generation counter modulo [`StreamState::gen_mod`]:
-    /// `1 + slot + (epoch mod gen_mod)·nslots`. Stale events from an old
-    /// generation are dropped on delivery by the same epoch comparison, and
+    /// The simulator, fabric and an empty slot pool; nothing is scheduled
+    /// yet (see [`MultiJobSim::start_fresh`]). `nslots` must be in
+    /// `1..=MAX_SLOTS`.
+    pub(crate) fn assemble(
+        cfg: MultiJobCfg,
+        source: ArrivalSource,
+        nslots: usize,
+        outcomes: Outcomes,
+        snap: Snapshots,
+    ) -> MultiJobSim {
+        let mut sim = Simulator::new();
+        if cfg.trace {
+            sim.enable_tracing();
+        }
+        let physical = ClusterNet::build(&cfg.cluster, sim.net_mut());
+        let free = GpuFreeList::new(&cfg.cluster);
+        let faults = cfg.faults.resolve_links(|n| {
+            vec![physical.node_tx_resource(n as usize), physical.node_rx_resource(n as usize)]
+        });
+        MultiJobSim {
+            cfg,
+            sim,
+            physical,
+            free,
+            faults,
+            slots: (0..nslots).map(|_| Slot { epoch: 0, job: None }).collect(),
+            gen_mod: (0xFFFF / nslots) as u32,
+            free_slots: (0..nslots).collect(),
+            source,
+            staged: None,
+            source_done: false,
+            queue: VecDeque::new(),
+            min_queued_gpus: usize::MAX,
+            max_queued_gpus: 0,
+            pending_repairs: 0,
+            pending_crashes: 0,
+            acc: Acc::new(),
+            outcomes,
+            snap,
+        }
+    }
+
+    /// Installs the fault plan, stages the first arrival and schedules the
+    /// crash/repair timers.
+    pub(crate) fn start_fresh(&mut self) -> Result<(), SchedError> {
+        self.sim.install_faults(&self.faults);
+        let first = self.source.next()?.ok_or_else(|| serr("arrival source produced no jobs"))?;
+        validate_spec(&first, self.cfg.cluster.world_size())?;
+        self.stage(first);
+        for (node, at, repair) in self.faults.crash_spans() {
+            self.sim.schedule_at(at, Token::new(CRASH_KIND, node, 0));
+            self.pending_crashes += 1;
+            if let Some(up_at) = repair {
+                self.sim.schedule_at(up_at, Token::new(REPAIR_KIND, node, 0));
+                self.pending_repairs += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Schedules `spec`'s arrival timer and holds it as the staged arrival.
+    pub(crate) fn stage(&mut self, spec: JobSpec) {
+        self.sim.schedule_at(
+            SimTime::from_secs_f64(spec.arrival_secs),
+            Token::new(ARRIVAL_KIND, spec.id as u32, 0),
+        );
+        self.staged = Some(spec);
+    }
+
+    /// Records an instant on the trainer track's lane `tid` when tracing is
+    /// on (the name is only formatted then).
+    fn mark(
+        &mut self,
+        tid: u64,
+        cat: &'static str,
+        arg: Option<f64>,
+        name: impl FnOnce() -> String,
+    ) {
+        if self.sim.tracing_enabled() {
+            self.sim.trace_instant(track::TRAINER, tid, &name(), cat, arg);
+        }
+    }
+
+    fn job(&self, slot: usize) -> &JobRun {
+        self.slots[slot].job.as_ref().expect("occupied slot")
+    }
+
+    fn job_mut(&mut self, slot: usize) -> &mut JobRun {
+        self.slots[slot].job.as_mut().expect("occupied slot")
+    }
+
+    /// The scope stamped on a slot's tokens and flows in its current
+    /// generation: `1 + slot + (epoch mod gen_mod)·nslots` (scope 0 stays
+    /// reserved for scheduler-level events). Stale events from an older
+    /// generation are dropped on delivery by [`MultiJobSim::live_slot`], and
     /// per-tag byte accounting is re-zeroed on reuse (see
     /// [`MultiJobSim::record_scope`]).
-    pub(crate) fn scope(&self, id: usize) -> u32 {
-        let njobs = self.jobs.len();
-        let epoch = self.jobs[id].epoch as usize;
-        if let Some(st) = &self.stream {
-            return (1 + id + (epoch % st.gen_mod as usize) * njobs) as u32;
-        }
-        let s = 1 + id + epoch * njobs;
-        assert!(
-            s <= 0xFFFF,
-            "job {id} epoch {} overflows the token scope space",
-            self.jobs[id].epoch
-        );
-        s as u32
+    fn scope(&self, slot: usize) -> u32 {
+        let nslots = self.slots.len();
+        (1 + slot + (self.slots[slot].epoch % self.gen_mod) as usize * nslots) as u32
     }
 
-    /// Inverts [`MultiJobSim::scope`]: `(job id, epoch mod gen_mod)` — in
-    /// batch mode `gen_mod` is effectively infinite and the second component
-    /// is the epoch itself.
-    pub(crate) fn decode_scope(&self, scope: u32) -> (usize, u32) {
+    /// Inverts [`MultiJobSim::scope`]: the slot whose *current* generation
+    /// owns `scope`, or `None` for a stale event of an earlier one.
+    fn live_slot(&self, scope: u32) -> Option<usize> {
         let v = scope as usize - 1;
-        (v % self.jobs.len(), (v / self.jobs.len()) as u32)
+        let (slot, gen) = (v % self.slots.len(), (v / self.slots.len()) as u32);
+        (gen == self.slots[slot].epoch % self.gen_mod).then_some(slot)
     }
 
-    /// Whether an event stamped with `scope_epoch` (the epoch component of a
-    /// decoded scope) belongs to job `id`'s *current* epoch.
-    pub(crate) fn epoch_live(&self, id: usize, scope_epoch: u32) -> bool {
-        match &self.stream {
-            Some(st) => scope_epoch == self.jobs[id].epoch % st.gen_mod,
-            None => scope_epoch == self.jobs[id].epoch,
-        }
-    }
-
-    /// Records the job's current scope for byte accounting. In streaming
-    /// mode the tag's fabric accumulators are re-zeroed first, so a recycled
-    /// tag starts counting from exactly `0.0` for its new owner (this also
-    /// makes snapshot-resumed runs — whose fresh network starts all tags at
-    /// zero — bit-identical to uninterrupted ones).
-    fn record_scope(&mut self, id: usize) {
-        let s = self.scope(id);
-        if !self.jobs[id].scopes.contains(&s) {
-            if self.stream.is_some() {
-                self.sim.net_mut().reset_bytes_by_tag(s);
+    /// Moves the slot to its next generation, skipping any whose scope
+    /// still has timers queued: a timer that outlives its generation (a
+    /// stall watchdog backs off for seconds) can then never pass
+    /// [`MultiJobSim::live_slot`] for a later one.
+    ///
+    /// # Panics
+    /// Panics if every generation of the slot has timers queued.
+    fn next_generation(&mut self, slot: usize) {
+        for _ in 0..self.gen_mod {
+            let s = &mut self.slots[slot];
+            s.epoch = s.epoch.wrapping_add(1);
+            if self.sim.timers_pending_in_scope(self.scope(slot)) == 0 {
+                return;
             }
-            self.jobs[id].scopes.push(s);
         }
+        panic!("slot {slot}: all {} generations have timers queued", self.gen_mod);
     }
 
-    fn all_done(&self) -> bool {
-        self.jobs.iter().all(|j| matches!(j.state, JobState::Done))
+    /// Records the slot's current scope for the job's byte accounting. The
+    /// tag's fabric accumulators are re-zeroed first, so a recycled tag
+    /// starts counting from exactly `0.0` for its new owner (this also makes
+    /// snapshot-resumed runs — whose fresh network starts all tags at zero —
+    /// bit-identical to uninterrupted ones).
+    fn record_scope(&mut self, slot: usize) {
+        let s = self.scope(slot);
+        let job = self.slots[slot].job.as_mut().expect("occupied slot");
+        if !job.scopes.contains(&s) {
+            self.sim.net_mut().reset_bytes_by_tag(s);
+            job.scopes.push(s);
+        }
     }
 
     /// Total GPUs on nodes that are currently up (free or occupied).
-    pub(crate) fn up_capacity(&self) -> usize {
+    fn up_capacity(&self) -> usize {
         (0..self.cfg.cluster.nodes)
             .filter(|&n| !self.free.node_is_down(n))
             .map(|n| self.cfg.cluster.gpus_on_node(n))
             .sum()
     }
 
-    /// Tries to place job `id` right now; on success starts (or resumes) its
-    /// first pending iteration.
-    pub(crate) fn try_start(&mut self, id: usize) -> bool {
-        let gpus = self.jobs[id].spec.gpus;
-        let Some(placement) = try_place(self.cfg.policy, gpus, &self.free) else {
+    /// Whether a gang of `gpus` can never be placed again: it exceeds the
+    /// up capacity and no repair is pending.
+    fn hopeless(&self, gpus: usize) -> bool {
+        self.pending_repairs == 0 && gpus > self.up_capacity()
+    }
+
+    /// Running slots in job-id order — the order crash victims, fault
+    /// broadcasts and the straggler detector visit them.
+    fn running_by_id(&self) -> Vec<usize> {
+        let mut running: Vec<(usize, usize)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(s, slot)| match &slot.job {
+                Some(j) if j.running.is_some() => Some((j.spec.id, s)),
+                _ => None,
+            })
+            .collect();
+        running.sort_unstable();
+        running.into_iter().map(|(_, s)| s).collect()
+    }
+
+    /// Admits `spec` into the least recently vacated slot if its gang can be
+    /// placed right now, and starts its first iteration.
+    fn try_admit(&mut self, spec: &JobSpec) -> bool {
+        let Some(&slot) = self.free_slots.front() else { return false };
+        let Some(placement) = try_place(self.cfg.policy, spec.gpus, &self.free) else {
             return false;
         };
-        placement.commit(&mut self.free);
-        let model = self.jobs[id].model.clone();
-        let engine = self.jobs[id].spec.engine.build(&model, placement.spec.world_size());
-        let compute = ComputeModel::new(placement.spec.node.gpu.clone());
-        let batch = model.default_batch_per_gpu();
-        let timing = compute.iteration_timing(&model, batch, DType::F32);
-        let (streams_busy, streams_idle) = comm_stream_limits(&compute, &placement.spec, &model);
-        let cluster = self.physical.subnet(placement.spec.clone(), &placement.ranks);
+        self.free_slots.pop_front();
         let now = self.sim.now();
-        let saved = match std::mem::replace(&mut self.jobs[id].state, JobState::Pending) {
-            JobState::Suspended(s) => Some(s),
-            JobState::Pending => None,
-            _ => unreachable!("placing a job that is running or done"),
-        };
-        if self.sim.tracing_enabled() {
-            let name =
-                if saved.is_some() { format!("job{id} restart") } else { format!("job{id} start") };
-            self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", None);
-        }
-        let (iter, iter_secs, started_at, iter_start) = match saved {
-            Some(s) => (s.iter, s.iter_secs, s.started_at, s.iter_start),
-            None => (0, Vec::new(), now, now),
-        };
-        // A rebuilt engine starts with a clean NIC-health map.
-        self.jobs[id].mitigated = false;
-        self.jobs[id].state = JobState::Running(Box::new(RunningJob {
-            placement,
-            cluster,
-            coll: CollectiveEngine::new(),
-            engine,
-            timing,
-            streams_busy,
-            streams_idle,
-            iter,
-            busy_workers: 0,
-            last_bwd: now,
-            draining: false,
-            iter_start,
-            started_at,
-            iter_secs,
-        }));
-        self.record_scope(id);
-        self.begin_iteration(id);
+        self.slots[slot].job = Some(JobRun::new(spec.clone(), now));
+        self.start(slot, placement, "start");
+        let active = self.slots.len() - self.free_slots.len();
+        self.acc.peak_active = self.acc.peak_active.max(active);
         true
     }
 
-    /// Mirrors the top of `TrainingSim::run_iteration_detailed`: engine
-    /// reset, then the per-worker compute schedule — all under the job's
-    /// token scope so every timer and flow is stamped with its owner.
-    fn begin_iteration(&mut self, id: usize) {
-        let scope = self.scope(id);
-        let seed = self.jobs[id].spec.seed;
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { unreachable!("job not running") };
-        let now = self.sim.now();
-        let world = r.placement.spec.world_size();
-        self.sim.set_token_scope(scope);
-        {
-            let mut cx = DdlCtx {
-                sim: &mut self.sim,
-                coll: &mut r.coll,
-                cluster: &r.cluster,
-                max_streams_now: r.streams_busy,
-            };
-            r.engine.begin_iteration(&mut cx, r.iter);
-        }
-        let attempt = ComputeAttempt {
-            world,
-            seed,
-            jitter_frac: self.cfg.jitter_frac,
-            framework: self.cfg.framework,
-            timing: &r.timing,
-            iter: r.iter,
-        };
-        let phys_spec = &self.cfg.cluster;
-        let faults = &self.faults;
-        let ranks = &r.placement.ranks;
-        let last_bwd = schedule_worker_compute(&mut self.sim, &attempt, |w| {
-            faults.compute_factor(phys_spec.node_of(ranks[w]) as u32, now)
-        });
-        self.sim.set_token_scope(0);
-        r.busy_workers = world;
-        r.last_bwd = last_bwd;
-        r.draining = false;
-        if self.sim.tracing_enabled() {
-            let name = format!("job{id} iter {}", r.iter);
-            self.sim.trace_span_begin(track::TRAINER, id as u64, &name, "iteration");
+    /// Re-places a suspended job if its gang fits right now, resuming at the
+    /// interrupted iteration.
+    fn try_resume(&mut self, slot: usize) -> bool {
+        match try_place(self.cfg.policy, self.job(slot).spec.gpus, &self.free) {
+            Some(placement) => {
+                self.start(slot, placement, "restart");
+                true
+            }
+            None => false,
         }
     }
 
-    /// Mirrors `TrainingSim`'s post-event check: once every worker finished
-    /// backward and the engine reports communication done, the iteration
-    /// ends at `max(comm_done, last_bwd) + update` and the job drains until
-    /// that boundary.
-    fn check_comm_done(&mut self, id: usize, t: SimTime) {
-        let scope = self.scope(id);
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
-        if r.draining || r.busy_workers > 0 || !r.engine.comm_done() {
+    /// Commits `placement` for the slot's job and begins its pending
+    /// iteration.
+    fn start(&mut self, slot: usize, placement: Placement, what: &str) {
+        placement.commit(&mut self.free);
+        let running = self.build_running(slot, placement, self.sim.now(), false);
+        let job = self.job_mut(slot);
+        // A rebuilt engine starts with a clean NIC-health map.
+        job.mitigated = false;
+        job.running = Some(running);
+        let id = self.job(slot).spec.id;
+        self.mark(id as u64, "sched", None, || format!("job{id} {what}"));
+        self.record_scope(slot);
+        self.begin_iteration(slot);
+    }
+
+    /// A fresh engine, compute model and subnet view for the slot's job on
+    /// `placement`.
+    fn build_running(
+        &self,
+        slot: usize,
+        placement: Placement,
+        now: SimTime,
+        draining: bool,
+    ) -> Box<RunningJob> {
+        let job = self.job(slot);
+        let spec = &placement.spec;
+        let engine = job.spec.engine.build(&job.model, spec.world_size());
+        let compute = ComputeModel::new(spec.node.gpu.clone());
+        let timing =
+            compute.iteration_timing(&job.model, job.model.default_batch_per_gpu(), DType::F32);
+        let limits = comm_stream_limits(&compute, spec, &job.model);
+        let cluster = self.physical.subnet(spec.clone(), &placement.ranks);
+        Box::new(RunningJob {
+            driver: JobDriver::new(cluster, engine, limits),
+            placement,
+            timing,
+            last_bwd: now,
+            draining,
+        })
+    }
+
+    /// Begins the slot's pending iteration under its token scope, so every
+    /// timer and flow is stamped with its owner.
+    fn begin_iteration(&mut self, slot: usize) {
+        let scope = self.scope(slot);
+        let now = self.sim.now();
+        let job = self.slots[slot].job.as_mut().expect("occupied slot");
+        let r = job.running.as_mut().expect("job not running");
+        let attempt = ComputeAttempt {
+            world: r.placement.spec.world_size(),
+            seed: job.spec.seed,
+            jitter_frac: self.cfg.jitter_frac,
+            framework: self.cfg.framework,
+            timing: &r.timing,
+            iter: job.progress.iter,
+        };
+        let (phys_spec, faults, ranks) = (&self.cfg.cluster, &self.faults, &r.placement.ranks);
+        self.sim.set_token_scope(scope);
+        r.last_bwd = r.driver.begin_iteration(&mut self.sim, &attempt, |w| {
+            faults.compute_factor(phys_spec.node_of(ranks[w]) as u32, now)
+        });
+        self.sim.set_token_scope(0);
+        r.draining = false;
+        if self.sim.tracing_enabled() {
+            let name = format!("job{} iter {}", job.spec.id, job.progress.iter);
+            self.sim.trace_span_begin(track::TRAINER, job.spec.id as u64, &name, "iteration");
+        }
+    }
+
+    /// Mirrors `TrainingSim`'s post-event check: once the driver reports
+    /// communication done, the iteration ends at
+    /// `max(comm_done, last_bwd) + update` and the job drains until that
+    /// boundary.
+    fn check_comm_done(&mut self, slot: usize, t: SimTime) {
+        let scope = self.scope(slot);
+        let Some(job) = self.slots[slot].job.as_mut() else { return };
+        let Some(r) = job.running.as_mut() else { return };
+        if r.draining || !r.driver.comm_done() {
             return;
         }
         let end = t.max(r.last_bwd) + r.timing.update;
         r.draining = true;
         self.sim.set_token_scope(scope);
-        self.sim.schedule_at(end, Token::new(BOUNDARY_KIND, id as u32, r.iter));
+        self.sim.schedule_at(end, Token::new(BOUNDARY_KIND, slot as u32, job.progress.iter));
         self.sim.set_token_scope(0);
     }
 
     /// Handles a job's iteration boundary: record the duration, then either
     /// start the next iteration or complete the job and re-dispatch the
     /// queue.
-    fn on_boundary(&mut self, id: usize, t: SimTime) {
-        let iterations = self.jobs[id].spec.iterations;
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
-        let last = (t - r.iter_start).as_secs_f64();
-        r.iter_secs.push(last);
+    fn on_boundary(&mut self, slot: usize, t: SimTime) {
+        let Some(job) = self.slots[slot].job.as_mut() else { return };
+        let Some(r) = job.running.as_mut() else { return };
+        let id = job.spec.id;
+        let p = &mut job.progress;
+        let last = (t - p.iter_start).as_secs_f64();
+        p.iter_secs.push(last);
         job.best_iter = Some(job.best_iter.map_or(last, |b| b.min(last)));
         job.ewma_iter =
             Some(job.ewma_iter.map_or(last, |e| (1.0 - EWMA_ALPHA) * e + EWMA_ALPHA * last));
         if self.sim.tracing_enabled() {
-            let name = format!("job{id} iter {}", r.iter);
+            let name = format!("job{id} iter {}", p.iter);
             self.sim.trace_span_end(track::TRAINER, id as u64, &name, "iteration");
         }
-        r.iter += 1;
-        if (r.iter as usize) < iterations {
-            r.iter_start = t;
-            self.begin_iteration(id);
+        p.iter += 1;
+        if (p.iter as usize) < job.spec.iterations {
+            p.iter_start = t;
+            self.begin_iteration(slot);
             self.run_straggler_detector();
             return;
         }
         // Job complete: tear down lingering flows so the fabric is clean for
         // the tenants that remain, free the gang, record the outcome.
-        r.coll.cancel_all(&mut self.sim);
+        r.driver.abort(&mut self.sim);
         r.placement.release(&mut self.free);
-        let start = r.started_at.as_secs_f64();
         let nodes_used = r.placement.node_count();
-        let iter_secs = std::mem::take(&mut r.iter_secs);
-        job.state = JobState::Done;
-        let out = self.make_outcome(id, start, t.as_secs_f64(), nodes_used, iter_secs, false);
-        self.finish_job(id, out);
-        if self.sim.tracing_enabled() {
-            let name = format!("job{id} done");
-            self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", None);
-        }
-        self.dispatch_queue();
+        self.finish(slot, t, nodes_used, false);
+        self.mark(id as u64, "sched", None, || format!("job{id} done"));
+        self.dispatch();
     }
 
-    /// Terminal accounting for a finished (completed or failed) job. Batch
-    /// mode stores the outcome for the final report; streaming mode folds it
-    /// into the windowed metrics and recycles the slot.
-    fn finish_job(&mut self, id: usize, out: JobOutcome) {
-        if self.stream.is_some() {
-            crate::stream::fold_finished(self, id, out);
-        } else {
-            self.jobs[id].outcome = Some(out);
-        }
-    }
-
-    /// Assembles a job's outcome, summing fabric bytes over every scope
-    /// (epoch) the job ran under.
-    pub(crate) fn make_outcome(
-        &self,
-        id: usize,
-        start_secs: f64,
-        finish_secs: f64,
-        nodes_used: usize,
-        iter_secs: Vec<f64>,
-        failed: bool,
-    ) -> JobOutcome {
-        let j = &self.jobs[id];
-        let spec = &j.spec;
-        let (delivered, launched) = j.scopes.iter().fold((0.0, 0.0), |(d, l), &s| {
-            (
-                d + self.sim.net().delivered_bytes_by_tag(s),
-                l + self.sim.net().launched_bytes_by_tag(s),
-            )
+    /// Terminal accounting for a finished (completed or failed) job: the
+    /// slot is vacated — its generation bumped so lingering events die — and
+    /// the outcome delivered, its fabric bytes summed over every scope the
+    /// job ran under.
+    fn finish(&mut self, slot: usize, t: SimTime, nodes_used: usize, failed: bool) {
+        let j = self.slots[slot].job.take().expect("occupied slot");
+        self.next_generation(slot);
+        self.free_slots.push_back(slot);
+        let net = self.sim.net();
+        let bytes = j.scopes.iter().fold((0.0, 0.0), |(d, l), &s| {
+            (d + net.delivered_bytes_by_tag(s), l + net.launched_bytes_by_tag(s))
         });
-        JobOutcome {
-            id: spec.id,
-            model: spec.model.clone(),
-            gpus: spec.gpus,
-            engine: spec.engine.label().to_string(),
-            arrival_secs: spec.arrival_secs,
-            start_secs,
-            finish_secs,
-            nodes_used,
-            iter_secs,
-            comm_bytes_delivered: delivered,
-            comm_bytes_launched: launched,
-            crashes: j.crashes,
-            restarts: j.restarts,
-            shrinks: j.shrinks,
-            recovery_secs: j.recovery_secs,
-            mitigations: j.mitigations,
-            failed,
+        self.deliver(j.into_outcome(t, nodes_used, bytes, failed));
+    }
+
+    /// Fails an arrived-but-never-admitted spec (permanent capacity loss).
+    fn fail_spec(&mut self, spec: JobSpec) {
+        let (now, id) = (self.sim.now(), spec.id);
+        self.mark(id as u64, "sched", None, || format!("job{id} failed"));
+        self.deliver(JobRun::new(spec, now).into_outcome(now, 0, (0.0, 0.0), true));
+    }
+
+    fn deliver(&mut self, out: JobOutcome) {
+        if let Outcomes::Keep(kept) = &mut self.outcomes {
+            let id = out.id;
+            kept[id] = Some(out);
+        } else {
+            crate::stream::fold_outcome(self, &out);
         }
     }
 
-    /// FIFO dispatch with backfill: jobs are tried in arrival order, and a
-    /// blocked head does not starve smaller jobs behind it. A queued job
-    /// that can never fit again — its gang exceeds the up-node capacity and
-    /// no repairs are pending — is failed deterministically instead of
+    /// Entries waiting in the backlog.
+    pub(crate) fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Queues a backlog entry of `gpus` GPUs.
+    fn enqueue(&mut self, entry: QueueEntry, gpus: usize) {
+        self.min_queued_gpus = self.min_queued_gpus.min(gpus);
+        self.max_queued_gpus = self.max_queued_gpus.max(gpus);
+        self.queue.push_back(entry);
+        self.acc.peak_backlog = self.acc.peak_backlog.max(self.queue.len());
+    }
+
+    /// FIFO dispatch with backfill: entries are tried in arrival order, and
+    /// a blocked head does not starve smaller jobs behind it. Suspended
+    /// slots are re-placed, waiting specs admitted, and an entry that can
+    /// never fit again — its gang exceeds the up-node capacity and no
+    /// repairs are pending — is failed deterministically instead of
     /// stalling the scenario forever.
-    fn dispatch_queue(&mut self) {
-        if self.stream.is_some() {
-            return crate::stream::dispatch(self);
-        }
+    fn dispatch(&mut self) {
         let mut i = 0;
-        while i < self.queue.len() {
-            let id = self.queue[i];
-            if self.try_start(id) {
-                self.queue.remove(i);
-            } else if self.pending_repairs == 0 && self.jobs[id].spec.gpus > self.up_capacity() {
-                self.queue.remove(i);
-                self.fail_unplaced(id);
+        // Refreshed after every successful start; placement cannot succeed
+        // for a gang larger than the free-GPU total, and a spec cannot be
+        // admitted with no vacant slot, so such entries are skipped with an
+        // integer compare instead of a placement attempt — this keeps the
+        // backfill walk cheap when a deep backlog queues behind a saturated
+        // cluster.
+        let mut free_gpus = self.free.total_free();
+        // Nothing can be hopeless when every queued gang fits the up
+        // capacity (or repairs are pending), and nothing can start once
+        // fewer GPUs than the smallest queued gang are free — together these
+        // end the walk early instead of touching every backlogged entry. The
+        // bounds are conservative, so cutting the walk short is always sound.
+        let no_hopeless = self.pending_repairs > 0 || self.max_queued_gpus <= self.up_capacity();
+        // Placement is a pure function of (policy, gang size, free list),
+        // and the free list only changes on a successful start — so once a
+        // gang size has failed to place, every later entry of the same size
+        // must fail too until something starts. Caching those sizes turns
+        // the pathological fragmented regime (a few GPUs free that no queued
+        // shape fits) from one placement attempt per backlogged entry into
+        // one per distinct gang size.
+        let mut failed_sizes: Vec<usize> = Vec::new();
+        loop {
+            if no_hopeless && self.min_queued_gpus > free_gpus {
+                break;
+            }
+            let Some(entry) = self.queue.get(i) else {
+                if self.queue.is_empty() {
+                    self.min_queued_gpus = usize::MAX;
+                    self.max_queued_gpus = 0;
+                }
+                break;
+            };
+            let (gpus, has_slot) = match entry {
+                QueueEntry::Slot(s) => (self.job(*s).spec.gpus, true),
+                QueueEntry::Spec(spec) => (spec.gpus, !self.free_slots.is_empty()),
+            };
+            // A cached size cannot be hopeless (its gpus fit the free total,
+            // which never exceeds the up capacity), so skipping it is
+            // exactly the attempt-and-requeue path minus the futile attempt.
+            let blocked = gpus > free_gpus || !has_slot;
+            if (blocked && !self.hopeless(gpus)) || (!blocked && failed_sizes.contains(&gpus)) {
+                i += 1;
+                continue;
+            }
+            let entry = self.queue.remove(i).expect("index checked");
+            if blocked {
+                self.fail_entry(entry);
+                continue;
+            }
+            let started = match &entry {
+                QueueEntry::Slot(s) => self.try_resume(*s),
+                QueueEntry::Spec(spec) => self.try_admit(spec),
+            };
+            if started {
+                free_gpus = self.free.total_free();
+                failed_sizes.clear();
+            } else if self.hopeless(gpus) {
+                self.fail_entry(entry);
             } else {
+                failed_sizes.push(gpus);
+                self.queue.insert(i, entry);
                 i += 1;
             }
         }
     }
 
-    /// Fails a job that is waiting in the queue with no possible placement
-    /// left (permanent capacity loss).
-    pub(crate) fn fail_unplaced(&mut self, id: usize) {
-        let t = self.sim.now().as_secs_f64();
-        let state = std::mem::replace(&mut self.jobs[id].state, JobState::Done);
-        let (start, iter_secs) = match state {
-            JobState::Suspended(s) => (s.started_at.as_secs_f64(), s.iter_secs),
-            JobState::Pending => (t, Vec::new()),
-            _ => unreachable!("queued job neither pending nor suspended"),
-        };
-        let out = self.make_outcome(id, start, t, 0, iter_secs, true);
-        self.finish_job(id, out);
-        if self.sim.tracing_enabled() {
-            let name = format!("job{id} failed");
-            self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", None);
+    /// Fails a queued entry with no possible placement left (permanent
+    /// capacity loss).
+    fn fail_entry(&mut self, entry: QueueEntry) {
+        match entry {
+            QueueEntry::Slot(s) => self.fail_at(s, self.sim.now(), 0),
+            QueueEntry::Spec(spec) => self.fail_spec(spec),
+        }
+    }
+
+    /// Handles the staged arrival: stage and schedule the *successor* first
+    /// (so its timer's sequence number precedes everything the current
+    /// admission schedules), then admit or enqueue the current spec.
+    fn on_arrival(&mut self) -> Result<(), SchedError> {
+        let spec = self.staged.take().expect("ARRIVAL event with no staged spec");
+        if !self.source_done {
+            match self.source.next()? {
+                Some(n) => {
+                    validate_spec(&n, self.cfg.cluster.world_size())?;
+                    if SimTime::from_secs_f64(n.arrival_secs)
+                        < SimTime::from_secs_f64(spec.arrival_secs)
+                    {
+                        return Err(serr(format!(
+                            "arrivals must be non-decreasing: job {} at {} after {}",
+                            n.id, n.arrival_secs, spec.arrival_secs
+                        )));
+                    }
+                    self.stage(n);
+                }
+                None => self.source_done = true,
+            }
+        }
+        self.acc.emitted += 1;
+        if !self.try_admit(&spec) {
+            let gpus = spec.gpus;
+            self.enqueue(QueueEntry::Spec(spec), gpus);
+            self.dispatch();
+        }
+        Ok(())
+    }
+
+    /// A restarted job's checkpoint restore is over: queue it for
+    /// re-placement. The token carries the generation it was scheduled for,
+    /// so a re-queue cannot resume a *later* tenant of a recycled slot.
+    fn on_requeue(&mut self, slot: usize, gen: u64) {
+        let suspended = matches!(&self.slots[slot].job, Some(j) if j.running.is_none());
+        if suspended && gen == (self.slots[slot].epoch % self.gen_mod) as u64 {
+            let gpus = self.job(slot).spec.gpus;
+            self.enqueue(QueueEntry::Slot(slot), gpus);
+            self.dispatch();
         }
     }
 
     /// Handles a node crash: quarantine the node's GPUs, then tear down and
     /// recover (or fail) every gang with a member on it, in job-id order.
-    pub(crate) fn on_crash(&mut self, node: usize, t: SimTime) {
+    fn on_crash(&mut self, node: usize, t: SimTime) {
         self.free.set_node_down(node);
-        if self.sim.tracing_enabled() {
-            let name = format!("crash n{node}");
-            self.sim.trace_instant(track::TRAINER, u64::MAX, &name, "fault", None);
-        }
-        for id in 0..self.jobs.len() {
-            let hit = match &self.jobs[id].state {
-                JobState::Running(r) => {
-                    r.placement.ranks.iter().any(|&g| self.cfg.cluster.node_of(g) == node)
-                }
-                _ => false,
-            };
+        self.mark(u64::MAX, "fault", None, || format!("crash n{node}"));
+        for slot in self.running_by_id() {
+            let job = self.slots[slot].job.as_mut().expect("occupied slot");
+            let cluster = &self.cfg.cluster;
+            let hit = job
+                .running
+                .as_ref()
+                .is_some_and(|r| r.placement.ranks.iter().any(|&g| cluster.node_of(g) == node));
             if !hit {
                 continue;
             }
-            self.jobs[id].crashes += 1;
-            let JobState::Running(mut r) =
-                std::mem::replace(&mut self.jobs[id].state, JobState::Pending)
-            else {
-                unreachable!()
-            };
-            r.coll.cancel_all(&mut self.sim);
+            job.crashes += 1;
+            let mut r = job.running.take().expect("hit job is running");
+            r.driver.abort(&mut self.sim);
             if self.sim.tracing_enabled() {
                 // Close the open iteration span so traces stay balanced; the
                 // retry re-opens it under the same name.
-                let name = format!("job{id} iter {}", r.iter);
-                self.sim.trace_span_end(track::TRAINER, id as u64, &name, "iteration");
+                let name = format!("job{} iter {}", job.spec.id, job.progress.iter);
+                self.sim.trace_span_end(track::TRAINER, job.spec.id as u64, &name, "iteration");
             }
             match self.cfg.recovery {
-                RecoveryPolicy::Fail => self.fail_running(id, r, t),
-                RecoveryPolicy::Restart => self.restart_job(id, r, t),
-                RecoveryPolicy::Shrink => self.shrink_job(id, r, node, t),
+                RecoveryPolicy::Fail => {
+                    r.placement.release(&mut self.free);
+                    self.fail_at(slot, t, r.placement.node_count());
+                }
+                RecoveryPolicy::Restart => self.restart_job(slot, r, t),
+                RecoveryPolicy::Shrink => self.shrink_job(slot, r, node, t),
             }
         }
         // Capacity released by restarted/failed gangs can admit queued jobs.
-        self.dispatch_queue();
+        self.dispatch();
     }
 
-    /// Kills a running job at the crash instant ([`RecoveryPolicy::Fail`]).
-    fn fail_running(&mut self, id: usize, r: Box<RunningJob>, t: SimTime) {
-        r.placement.release(&mut self.free);
-        self.jobs[id].state = JobState::Done;
-        let out = self.make_outcome(
-            id,
-            r.started_at.as_secs_f64(),
-            t.as_secs_f64(),
-            r.placement.node_count(),
-            r.iter_secs,
-            true,
-        );
-        self.finish_job(id, out);
-        if self.sim.tracing_enabled() {
-            let name = format!("job{id} failed");
-            self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", None);
-        }
+    /// Kills the slot's job at `t`: a crash under [`RecoveryPolicy::Fail`],
+    /// or a suspended job that can never be placed again.
+    fn fail_at(&mut self, slot: usize, t: SimTime, nodes_used: usize) {
+        let id = self.job(slot).spec.id;
+        self.finish(slot, t, nodes_used, true);
+        self.mark(id as u64, "sched", None, || format!("job{id} failed"));
     }
 
     /// Checkpoint restart ([`RecoveryPolicy::Restart`]): release the whole
@@ -916,50 +1061,33 @@ impl MultiJobSim {
     /// iteration. The crashed iteration's eventual duration spans the lost
     /// attempt, the pause and the re-run — the same accounting as the
     /// single-job `TrainingSim`.
-    fn restart_job(&mut self, id: usize, mut r: Box<RunningJob>, t: SimTime) {
+    fn restart_job(&mut self, slot: usize, r: Box<RunningJob>, t: SimTime) {
         r.placement.release(&mut self.free);
-        let pause = replay_failure_recovery(
-            &r.placement.spec,
-            &self.jobs[id].model,
-            RecoveryConfig::default(),
-        )
-        .total_secs;
-        self.jobs[id].recovery_secs += pause;
-        self.jobs[id].restarts += 1;
-        self.jobs[id].epoch += 1;
-        self.jobs[id].state = JobState::Suspended(SavedProgress {
-            iter: r.iter,
-            iter_secs: std::mem::take(&mut r.iter_secs),
-            started_at: r.started_at,
-            iter_start: r.iter_start,
-        });
-        // Streaming stamps the slot's (bumped) generation into the token so
-        // a re-queue meant for this tenant cannot resume a later tenant that
-        // happens to be suspended in the same slot when it fires. Batch job
-        // ids are never reused, so the guard stays trivially 0 there.
-        let gen = match &self.stream {
-            Some(st) => self.jobs[id].epoch % st.gen_mod,
-            None => 0,
-        };
+        let job = self.slots[slot].job.as_mut().expect("occupied slot");
+        let pause =
+            replay_failure_recovery(&r.placement.spec, &job.model, RecoveryConfig::default())
+                .total_secs;
+        job.recovery_secs += pause;
+        job.restarts += 1;
+        let id = job.spec.id;
+        self.next_generation(slot);
+        let gen = self.slots[slot].epoch % self.gen_mod;
         self.sim.schedule_at(
             t + SimDuration::from_secs_f64(pause),
-            Token::new(REQUEUE_KIND, id as u32, gen as u64),
+            Token::new(REQUEUE_KIND, slot as u32, gen as u64),
         );
-        if self.sim.tracing_enabled() {
-            let name = format!("job{id} checkpoint restore");
-            self.sim.trace_instant(track::TRAINER, id as u64, &name, "recovery", Some(pause));
-        }
+        self.mark(id as u64, "recovery", Some(pause), || format!("job{id} checkpoint restore"));
     }
 
     /// Elastic shrink ([`RecoveryPolicy::Shrink`]): survivors keep their
     /// GPUs, the dead node's ranks are parked, the ring is rebuilt over the
     /// shrunken subnet after a replayed membership-change pause. Falls back
     /// to a full restart when the gang has no survivors.
-    fn shrink_job(&mut self, id: usize, mut r: Box<RunningJob>, node: usize, t: SimTime) {
+    fn shrink_job(&mut self, slot: usize, r: Box<RunningJob>, node: usize, t: SimTime) {
         let (dead, alive): (Vec<usize>, Vec<usize>) =
             r.placement.ranks.iter().partition(|&&g| self.cfg.cluster.node_of(g) == node);
         if alive.is_empty() {
-            self.restart_job(id, r, t);
+            self.restart_job(slot, r, t);
             return;
         }
         self.free.release(&dead);
@@ -983,60 +1111,40 @@ impl MultiJobSim {
             ClusterSpec::with_tail(counts.len(), nodecfg, if tail == c { 0 } else { tail })
         };
         debug_assert_eq!(survivor_spec.world_size(), alive.len());
-        let pause =
-            replay_elastic_join(&survivor_spec, &self.jobs[id].model, 1, RecoveryConfig::default())
-                .total_secs;
-        self.jobs[id].recovery_secs += pause;
-        self.jobs[id].shrinks += 1;
-        self.jobs[id].epoch += 1;
-        self.jobs[id].mitigated = false;
-        let model = self.jobs[id].model.clone();
-        let engine = self.jobs[id].spec.engine.build(&model, survivor_spec.world_size());
-        let compute = ComputeModel::new(survivor_spec.node.gpu.clone());
-        let timing = compute.iteration_timing(&model, model.default_batch_per_gpu(), DType::F32);
-        let (streams_busy, streams_idle) = comm_stream_limits(&compute, &survivor_spec, &model);
-        let cluster = self.physical.subnet(survivor_spec.clone(), &alive);
-        self.jobs[id].state = JobState::Running(Box::new(RunningJob {
-            placement: Placement { spec: survivor_spec, ranks: alive },
-            cluster,
-            coll: CollectiveEngine::new(),
-            engine,
-            timing,
-            streams_busy,
-            streams_idle,
-            iter: r.iter,
-            busy_workers: 0,
-            last_bwd: t,
-            draining: true,
-            iter_start: r.iter_start,
-            started_at: r.started_at,
-            iter_secs: std::mem::take(&mut r.iter_secs),
-        }));
-        self.record_scope(id);
-        let scope = self.scope(id);
+        let pause = replay_elastic_join(
+            &survivor_spec,
+            &self.job(slot).model,
+            1,
+            RecoveryConfig::default(),
+        )
+        .total_secs;
+        let survivors = Placement { spec: survivor_spec, ranks: alive };
+        let running = self.build_running(slot, survivors, t, true);
+        let job = self.job_mut(slot);
+        job.recovery_secs += pause;
+        job.shrinks += 1;
+        job.mitigated = false;
+        job.running = Some(running);
+        let id = job.spec.id;
+        self.next_generation(slot);
+        self.record_scope(slot);
+        let scope = self.scope(slot);
         self.sim.set_token_scope(scope);
         self.sim.schedule_at(
             t + SimDuration::from_secs_f64(pause),
-            Token::new(RESUME_KIND, id as u32, 0),
+            Token::new(RESUME_KIND, slot as u32, 0),
         );
         self.sim.set_token_scope(0);
-        if self.sim.tracing_enabled() {
-            let name = format!("job{id} elastic shrink");
-            self.sim.trace_instant(track::TRAINER, id as u64, &name, "recovery", Some(pause));
-        }
+        self.mark(id as u64, "recovery", Some(pause), || format!("job{id} elastic shrink"));
     }
 
     /// Handles a node repair: the node's parked GPUs return to the pool and
     /// the queue gets another chance.
-    pub(crate) fn on_repair(&mut self, node: usize, t: SimTime) {
-        let _ = t;
+    fn on_repair(&mut self, node: usize) {
         self.free.set_node_up(node);
         self.pending_repairs -= 1;
-        if self.sim.tracing_enabled() {
-            let name = format!("repair n{node}");
-            self.sim.trace_instant(track::TRAINER, u64::MAX, &name, "fault", None);
-        }
-        self.dispatch_queue();
+        self.mark(u64::MAX, "fault", None, || format!("repair n{node}"));
+        self.dispatch();
     }
 
     /// The straggler detector: compare each running job's iteration-time
@@ -1046,13 +1154,11 @@ impl MultiJobSim {
     fn run_straggler_detector(&mut self) {
         let Some(threshold) = self.cfg.straggler_threshold else { return };
         let mut slowdowns: Vec<(usize, f64)> = Vec::new();
-        for (id, j) in self.jobs.iter().enumerate() {
-            if !matches!(j.state, JobState::Running(_)) {
-                continue;
-            }
+        for slot in self.running_by_id() {
+            let j = self.job(slot);
             if let (Some(ewma), Some(best)) = (j.ewma_iter, j.best_iter) {
                 if best > 0.0 {
-                    slowdowns.push((id, ewma / best));
+                    slowdowns.push((slot, ewma / best));
                 }
             }
         }
@@ -1062,293 +1168,230 @@ impl MultiJobSim {
         let mut vals: Vec<f64> = slowdowns.iter().map(|&(_, s)| s).collect();
         vals.sort_by(f64::total_cmp);
         let median = vals[vals.len() / 2];
-        for (id, slowdown) in slowdowns {
+        let base = self.cfg.cluster.node.nic.bytes_per_sec();
+        for (slot, slowdown) in slowdowns {
             let flagged = slowdown > threshold * median;
-            if flagged && !self.jobs[id].mitigated {
-                self.apply_mitigation(id, slowdown / median);
-            } else if !flagged && self.jobs[id].mitigated {
-                self.lift_mitigation(id);
-            }
+            let job = self.job_mut(slot);
+            let id = job.spec.id;
+            // The advertised capacity ratio is the inverse relative
+            // slowdown, floored at MITIGATION_FLOOR. Only the engine's
+            // *belief* changes — the physical fabric is untouched — which is
+            // exactly the NIC-health signal AIACC's stream-pool scaling
+            // consumes.
+            let (phase, before, after, name, arg) = if flagged && !job.mitigated {
+                let scaled = base * (1.0 / (slowdown / median)).clamp(MITIGATION_FLOOR, 1.0);
+                job.mitigated = true;
+                job.mitigations += 1;
+                job.mitigation_cap = scaled;
+                let name = format!("job{id} straggler mitigation");
+                (FaultPhase::Applied, base, scaled, name, Some(scaled / base))
+            } else if !flagged && job.mitigated {
+                job.mitigated = false;
+                let name = format!("job{id} mitigation lifted");
+                (FaultPhase::Restored, job.mitigation_cap, base, name, None)
+            } else {
+                continue;
+            };
+            let lead = job.running.as_ref().expect("running").placement.ranks[0];
+            let rec = FaultRecord {
+                resource: self.physical.node_tx_resource(self.cfg.cluster.node_of(lead)),
+                phase,
+                capacity_before: before,
+                capacity_after: after,
+            };
+            self.mark(id as u64, "sched", arg, || name);
+            self.on_job_event(slot, Event::Fault(rec), self.sim.now());
         }
     }
 
-    /// Feeds a synthetic NIC-degradation record to job `id`'s engine: the
-    /// advertised capacity ratio is the inverse relative slowdown, floored
-    /// at [`MITIGATION_FLOOR`]. Only the engine's *belief* changes — the
-    /// physical fabric is untouched — which is exactly the NIC-health signal
-    /// AIACC's stream-pool scaling consumes.
-    fn apply_mitigation(&mut self, id: usize, rel_slowdown: f64) {
-        let scope = self.scope(id);
-        let base = self.cfg.cluster.node.nic.bytes_per_sec();
-        let scaled = base * (1.0 / rel_slowdown).clamp(MITIGATION_FLOOR, 1.0);
-        self.jobs[id].mitigated = true;
-        self.jobs[id].mitigations += 1;
-        self.jobs[id].mitigation_cap = scaled;
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
-        let node = self.cfg.cluster.node_of(r.placement.ranks[0]);
-        let rec = FaultRecord {
-            resource: self.physical.node_tx_resource(node),
-            phase: FaultPhase::Applied,
-            capacity_before: base,
-            capacity_after: scaled,
-        };
-        if self.sim.tracing_enabled() {
-            let name = format!("job{id} straggler mitigation");
-            self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", Some(scaled / base));
-        }
-        self.sim.set_token_scope(scope);
-        let mut cx = DdlCtx {
-            sim: &mut self.sim,
-            coll: &mut r.coll,
-            cluster: &r.cluster,
-            max_streams_now: if r.busy_workers > 0 { r.streams_busy } else { r.streams_idle },
-        };
-        r.engine.on_fault(&mut cx, &rec);
-        self.sim.set_token_scope(0);
-    }
-
-    /// Restores the synthetic NIC health once the job's slowdown is back
-    /// under the threshold.
-    fn lift_mitigation(&mut self, id: usize) {
-        let scope = self.scope(id);
-        let base = self.cfg.cluster.node.nic.bytes_per_sec();
-        let scaled = self.jobs[id].mitigation_cap;
-        self.jobs[id].mitigated = false;
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
-        let node = self.cfg.cluster.node_of(r.placement.ranks[0]);
-        let rec = FaultRecord {
-            resource: self.physical.node_tx_resource(node),
-            phase: FaultPhase::Restored,
-            capacity_before: scaled,
-            capacity_after: base,
-        };
-        if self.sim.tracing_enabled() {
-            let name = format!("job{id} mitigation lifted");
-            self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", None);
-        }
-        self.sim.set_token_scope(scope);
-        let mut cx = DdlCtx {
-            sim: &mut self.sim,
-            coll: &mut r.coll,
-            cluster: &r.cluster,
-            max_streams_now: if r.busy_workers > 0 { r.streams_busy } else { r.streams_idle },
-        };
-        r.engine.on_fault(&mut cx, &rec);
-        self.sim.set_token_scope(0);
-    }
-
-    /// Routes a scoped timer to its job, honoring the drain window exactly
-    /// like `TrainingSim::drain_to` (stale events are dropped).
-    pub(crate) fn on_job_timer(&mut self, id: usize, tok: Token, t: SimTime) {
-        match tok.base_kind() {
-            BOUNDARY_KIND => {
-                self.on_boundary(id, t);
-                return;
-            }
-            RESUME_KIND => {
-                // The elastic-join pause is over: restart the interrupted
-                // iteration on the shrunken gang.
-                if self.sim.tracing_enabled() {
-                    let name = format!("job{id} resume");
-                    self.sim.trace_instant(track::TRAINER, id as u64, &name, "sched", None);
+    /// Routes one event to the slot's job. Iteration boundaries and elastic
+    /// resumes are the scheduler's; everything else goes to the job's
+    /// driver, except that a draining job drops its timers and flow
+    /// completions exactly like `TrainingSim::drain_to` (faults still reach
+    /// the engine).
+    fn on_job_event(&mut self, slot: usize, ev: Event, t: SimTime) {
+        if let Event::Timer(tok) = ev {
+            match tok.base_kind() {
+                BOUNDARY_KIND => return self.on_boundary(slot, t),
+                RESUME_KIND => {
+                    // The elastic-join pause is over: restart the interrupted
+                    // iteration on the shrunken gang.
+                    let id = self.job(slot).spec.id;
+                    self.mark(id as u64, "sched", None, || format!("job{id} resume"));
+                    return self.begin_iteration(slot);
                 }
-                self.begin_iteration(id);
-                return;
+                _ => {}
             }
-            _ => {}
         }
-        let scope = self.scope(id);
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { return };
-        if r.draining {
+        let scope = self.scope(slot);
+        let Some(r) = self.slots[slot].job.as_mut().and_then(|j| j.running.as_mut()) else {
+            return;
+        };
+        if r.draining && !matches!(ev, Event::Fault(_)) {
             return;
         }
         self.sim.set_token_scope(scope);
-        match tok.base_kind() {
-            GRAD_KIND => {
-                let mut cx = DdlCtx {
-                    sim: &mut self.sim,
-                    coll: &mut r.coll,
-                    cluster: &r.cluster,
-                    max_streams_now: if r.busy_workers > 0 {
-                        r.streams_busy
-                    } else {
-                        r.streams_idle
-                    },
-                };
-                r.engine.on_grad_ready(&mut cx, tok.a as usize, GradId(tok.b as u32));
-            }
-            BWD_KIND => {
-                r.busy_workers -= 1;
-                let mut cx = DdlCtx {
-                    sim: &mut self.sim,
-                    coll: &mut r.coll,
-                    cluster: &r.cluster,
-                    max_streams_now: if r.busy_workers > 0 {
-                        r.streams_busy
-                    } else {
-                        r.streams_idle
-                    },
-                };
-                r.engine.on_backward_done(&mut cx, tok.a as usize);
-            }
-            ENGINE_TIMER_KIND => {
-                let mut cx = DdlCtx {
-                    sim: &mut self.sim,
-                    coll: &mut r.coll,
-                    cluster: &r.cluster,
-                    max_streams_now: if r.busy_workers > 0 {
-                        r.streams_busy
-                    } else {
-                        r.streams_idle
-                    },
-                };
-                r.engine.on_timer(&mut cx, tok.a, tok.b);
-            }
-            _ => {}
-        }
+        r.driver.on_event(&mut self.sim, ev);
         self.sim.set_token_scope(0);
-        self.check_comm_done(id, t);
+        self.check_comm_done(slot, t);
     }
 
-    /// Routes a flow completion to the (unique) job whose collective engine
-    /// owns it. Completions inside a drain window are dropped, as in the
-    /// single-job path.
-    pub(crate) fn on_flow(&mut self, f: FlowId, t: SimTime) {
+    /// The (unique) running slot whose collective engine owns flow `f`.
+    fn flow_owner(&self, f: FlowId) -> Option<usize> {
         let mut owner = None;
-        for (id, job) in self.jobs.iter().enumerate() {
-            if let JobState::Running(r) = &job.state {
-                if r.coll.owns_flow(f) {
-                    assert!(owner.is_none(), "flow {f} owned by jobs {owner:?} and {id}");
-                    owner = Some(id);
+        for (s, slot) in self.slots.iter().enumerate() {
+            if let Some(r) = slot.job.as_ref().and_then(|j| j.running.as_ref()) {
+                if r.driver.owns_flow(f) {
+                    assert!(owner.is_none(), "flow {f} owned by slots {owner:?} and {s}");
+                    owner = Some(s);
                 }
             }
         }
-        let Some(id) = owner else { return };
-        let scope = self.scope(id);
-        let job = &mut self.jobs[id];
-        let JobState::Running(r) = &mut job.state else { unreachable!() };
-        if r.draining {
-            return;
-        }
-        self.sim.set_token_scope(scope);
-        if let Some(op) = r.coll.on_flow_completed(&mut self.sim, f) {
-            let mut cx = DdlCtx {
-                sim: &mut self.sim,
-                coll: &mut r.coll,
-                cluster: &r.cluster,
-                max_streams_now: if r.busy_workers > 0 { r.streams_busy } else { r.streams_idle },
-            };
-            r.engine.on_collective_done(&mut cx, op);
-        }
-        self.sim.set_token_scope(0);
-        self.check_comm_done(id, t);
+        owner
     }
 
-    /// Broadcasts a fault record to every running job (link capacities have
-    /// already changed inside the shared net).
-    pub(crate) fn on_fault(&mut self, rec: &FaultRecord, t: SimTime) {
-        for id in 0..self.jobs.len() {
-            let scope = self.scope(id);
-            let job = &mut self.jobs[id];
-            let JobState::Running(r) = &mut job.state else { continue };
-            self.sim.set_token_scope(scope);
-            let mut cx = DdlCtx {
-                sim: &mut self.sim,
-                coll: &mut r.coll,
-                cluster: &r.cluster,
-                max_streams_now: if r.busy_workers > 0 { r.streams_busy } else { r.streams_idle },
-            };
-            r.engine.on_fault(&mut cx, rec);
-            self.sim.set_token_scope(0);
-            self.check_comm_done(id, t);
-        }
+    /// Source dry, nothing staged, backlog empty, every slot vacant.
+    fn all_done(&self) -> bool {
+        self.source_done
+            && self.staged.is_none()
+            && self.queue.is_empty()
+            && self.free_slots.len() == self.slots.len()
     }
 
-    /// Drives the shared event loop until every job is done.
+    /// A regeneration point: the only live state is the accumulator and the
+    /// staged arrival. All checks are O(1) — this runs after every event
+    /// while a snapshot is armed.
+    pub(crate) fn quiescent(&self) -> bool {
+        self.staged.is_some()
+            && self.queue.is_empty()
+            && self.free_slots.len() == self.slots.len()
+            && self.pending_crashes == 0
+            && self.pending_repairs == 0
+            && self.sim.net().flow_count() == 0
+            && !self.sim.faults_pending()
+    }
+
+    /// The shared event loop: runs until every job has finished (or a
+    /// snapshot asked to stop), writing armed snapshots at quiescent points.
+    pub(crate) fn run_loop(&mut self) -> Result<(), SchedError> {
+        while !self.snap.stop_requested && !self.all_done() {
+            let Some((t, ev)) = self.sim.next_event() else {
+                return Err(serr(format!(
+                    "event queue drained with work left (staged={}, backlog={}, active={})",
+                    self.staged.is_some(),
+                    self.queue.len(),
+                    self.slots.len() - self.free_slots.len(),
+                )));
+            };
+            match ev {
+                Event::Timer(tok) if tok.scope() == 0 => match tok.kind {
+                    ARRIVAL_KIND => self.on_arrival()?,
+                    CRASH_KIND => {
+                        self.pending_crashes -= 1;
+                        self.on_crash(tok.a as usize, t);
+                    }
+                    REPAIR_KIND => self.on_repair(tok.a as usize),
+                    REQUEUE_KIND => self.on_requeue(tok.a as usize, tok.b),
+                    _ => {}
+                },
+                Event::Timer(tok) => {
+                    // Events from an aborted attempt or an earlier tenant
+                    // die here.
+                    if let Some(slot) = self.live_slot(tok.scope()) {
+                        self.on_job_event(slot, ev, t);
+                    }
+                }
+                Event::FlowCompleted(f) => {
+                    if let Some(slot) = self.flow_owner(f) {
+                        self.on_job_event(slot, ev, t);
+                    }
+                }
+                // Link capacities have already changed inside the shared
+                // net; every running job's engine hears about it.
+                Event::Fault(_) => {
+                    for slot in self.running_by_id() {
+                        self.on_job_event(slot, ev, t);
+                    }
+                }
+            }
+            crate::stream::maybe_snapshot(self)?;
+        }
+        Ok(())
+    }
+
+    /// Runs the scenario to completion and reports per-job and cluster
+    /// metrics.
     ///
     /// # Panics
     /// Panics if the event queue drains while jobs are still pending — a
     /// scheduler bug, since a finished job always re-dispatches the queue
     /// and an impossible placement fails the job deterministically.
-    fn run_loop(&mut self) {
-        while !self.all_done() {
-            let Some((t, ev)) = self.sim.next_event() else {
-                panic!("event queue drained with jobs unfinished (queue: {:?})", self.queue);
-            };
-            match ev {
-                Event::Timer(tok) if tok.scope() == 0 => match tok.kind {
-                    ARRIVAL_KIND => {
-                        let id = tok.a as usize;
-                        if !self.try_start(id) {
-                            self.queue.push(id);
-                            self.dispatch_queue();
-                        }
-                    }
-                    CRASH_KIND => self.on_crash(tok.a as usize, t),
-                    REPAIR_KIND => self.on_repair(tok.a as usize, t),
-                    REQUEUE_KIND => {
-                        let id = tok.a as usize;
-                        if matches!(self.jobs[id].state, JobState::Suspended(_)) {
-                            self.queue.push(id);
-                            self.dispatch_queue();
-                        }
-                    }
-                    _ => {}
-                },
-                Event::Timer(tok) => {
-                    let (id, epoch) = self.decode_scope(tok.scope());
-                    // Events from an aborted epoch (pre-crash timers) die here.
-                    if self.epoch_live(id, epoch) {
-                        self.on_job_timer(id, tok, t);
-                    }
-                }
-                Event::FlowCompleted(f) => self.on_flow(f, t),
-                Event::Fault(rec) => self.on_fault(&rec, t),
-            }
-        }
-    }
-
-    /// Runs the scenario to completion and reports per-job and cluster
-    /// metrics.
     pub fn run(mut self) -> MultiJobReport {
-        self.run_loop();
+        self.run_loop().unwrap_or_else(|e| panic!("{e}"));
         self.into_report()
     }
 
     /// Runs the scenario, returning the report together with the Chrome
     /// trace JSON (empty unless the config enabled tracing).
     pub fn run_with_trace(mut self) -> (MultiJobReport, String) {
-        self.run_loop();
+        self.run_loop().unwrap_or_else(|e| panic!("{e}"));
         let json = self.sim.trace().to_chrome_json();
         (self.into_report(), json)
     }
 
-    fn into_report(mut self) -> MultiJobReport {
-        let jobs: Vec<JobOutcome> =
-            self.jobs.iter_mut().map(|j| j.outcome.take().expect("job finished")).collect();
+    fn into_report(self) -> MultiJobReport {
+        let Outcomes::Keep(kept) = self.outcomes else {
+            unreachable!("batch scenarios keep their outcomes")
+        };
+        let jobs: Vec<JobOutcome> = kept.into_iter().map(|o| o.expect("job finished")).collect();
         let first_arrival = jobs.iter().map(|j| j.arrival_secs).fold(f64::INFINITY, f64::min);
         let last_finish = jobs.iter().map(|j| j.finish_secs).fold(0.0, f64::max);
         let makespan = last_finish - first_arrival;
-        let nic_rate = self.cfg.cluster.node.nic.bytes_per_sec();
-        let carried: f64 = (0..self.cfg.cluster.nodes)
-            .map(|n| self.sim.net().carried_bytes(self.physical.node_tx_resource(n)))
-            .sum();
-        let fabric_utilization = if makespan > 0.0 {
-            carried / (nic_rate * self.cfg.cluster.nodes as f64 * makespan)
-        } else {
-            0.0
-        };
         MultiJobReport {
             policy: self.cfg.policy,
             jobs,
             makespan_secs: makespan,
-            fabric_utilization,
+            fabric_utilization: fabric_utilization(
+                &self.cfg.cluster,
+                &self.sim,
+                &self.physical,
+                makespan,
+            ),
             solver: self.sim.net().solver_stats(),
         }
     }
+}
+
+/// Mean NIC transmit utilization over `makespan_secs` across all nodes.
+pub(crate) fn fabric_utilization(
+    cluster: &ClusterSpec,
+    sim: &Simulator,
+    physical: &ClusterNet,
+    makespan_secs: f64,
+) -> f64 {
+    if makespan_secs <= 0.0 {
+        return 0.0;
+    }
+    let carried: f64 =
+        (0..cluster.nodes).map(|n| sim.net().carried_bytes(physical.node_tx_resource(n))).sum();
+    carried / (cluster.node.nic.bytes_per_sec() * cluster.nodes as f64 * makespan_secs)
+}
+
+/// Rejects node-targeted faults outside the cluster.
+pub(crate) fn validate_fault_nodes(cfg: &MultiJobCfg) -> Result<(), SchedError> {
+    let nodes = cfg.cluster.nodes;
+    for ev in cfg.faults.events() {
+        if let FaultTarget::Node(n) = ev.target {
+            if n as usize >= nodes {
+                return Err(SchedError::FaultNodeOutOfRange { node: n, nodes });
+            }
+        }
+    }
+    Ok(())
+}
+
+pub(crate) fn serr(msg: impl Into<String>) -> SchedError {
+    SchedError::Stream { msg: msg.into() }
 }
 
 /// First logical rank hosted by logical node `ln` of `spec`.
@@ -1359,4 +1402,55 @@ fn logical_base(spec: &ClusterSpec, ln: usize) -> usize {
 /// One-shot convenience: build and run a multi-job scenario.
 pub fn run_multijob(cfg: MultiJobCfg) -> MultiJobReport {
     MultiJobSim::new(cfg).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{JobMix, WorkloadCfg};
+    use aiacc_trainer::EngineKind;
+
+    /// Runs `cfg` as a batch through a pool of `nslots` slots; returns the
+    /// per-job rows and the peak number of occupied slots.
+    fn run_with_slots(mut cfg: MultiJobCfg, nslots: usize) -> (Vec<String>, usize) {
+        let njobs = cfg.workload.jobs.len();
+        let source = ArrivalSource::finite(std::mem::take(&mut cfg.workload.jobs));
+        let keep = Outcomes::Keep(vec![None; njobs]);
+        let mut sim = MultiJobSim::assemble(cfg, source, nslots, keep, Snapshots::default());
+        sim.start_fresh().unwrap();
+        sim.run_loop().unwrap();
+        let peak = sim.acc.peak_active;
+        (sim.into_report().jobs.iter().map(JobOutcome::tsv_row).collect(), peak)
+    }
+
+    /// A 1,500-job chaos batch whose AIACC jobs arm the 0.5 s stall
+    /// watchdog, as `schedule --chaos` does: each ~5 ms job leaves watchdog
+    /// timers queued long after it departs. One slot per job folds
+    /// generations modulo 43, a 64-slot pool modulo 1023; both must give the
+    /// same outcomes. Were generations folded without skipping queued
+    /// timers, and slots refilled lowest-first, stale watchdogs would pass
+    /// the generation check, cancel and resubmit a later tenant's collective
+    /// and move its JCT (12 rows differ).
+    #[test]
+    fn slot_generations_never_alias_under_chaos() {
+        let mut wl = Workload::generate(
+            &WorkloadCfg::new(1_500, 5)
+                .with_mix(JobMix::Tiny)
+                .with_iterations(2)
+                .with_interarrival(0.002),
+        );
+        for j in &mut wl.jobs {
+            if let EngineKind::Aiacc(c) = &mut j.engine {
+                *c =
+                    c.with_stall_timeout(SimDuration::from_secs_f64(0.5)).with_max_resubmissions(4);
+            }
+        }
+        let cluster = ClusterSpec::tcp_v100(32);
+        let faults = FaultPlan::chaos(5, cluster.nodes, SimDuration::from_secs_f64(3.0), 4);
+        let cfg = MultiJobCfg::new(cluster, PlacePolicy::Packed, wl).with_faults(faults);
+        let (per_job, _) = run_with_slots(cfg.clone(), 1_500);
+        let (pooled, peak) = run_with_slots(cfg, 64);
+        assert!(peak < 64, "the 64-slot pool must never make a job wait for a slot");
+        assert_eq!(per_job, pooled);
+    }
 }

@@ -1,26 +1,30 @@
 //! Trace-driven streaming replay: an open-loop arrival source feeding the
-//! multi-job driver through a bounded pool of recycled job slots, so
+//! multi-job scheduler through a bounded pool of recycled job slots, so
 //! horizons of a million jobs and more run in O(window) memory.
 //!
 //! # Design
 //!
-//! Batch mode materializes every [`JobSpec`] and [`crate::JobOutcome`] up
-//! front; memory grows with the horizon. Streaming mode replaces both ends:
+//! A streaming run is the same [`MultiJobSim`] event loop as a batch
+//! scenario; only the two ends differ:
 //!
-//! - **Arrivals** come from an [`ArrivalSource`] — a seeded open-loop
-//!   generator ([`ArrivalProcess::Poisson`], [`ArrivalProcess::Diurnal`],
+//! - **Arrivals** come from an open-loop source — a seeded generator
+//!   ([`ArrivalProcess::Poisson`], [`ArrivalProcess::Diurnal`],
 //!   [`ArrivalProcess::Bursty`]) or a saved workload TSV replayed line by
-//!   line ([`ArrivalProcess::Trace`]). Exactly one future arrival is staged
-//!   at a time; the source never materializes the horizon.
-//! - **Outcomes** fold into an [`Acc`]: cumulative counters, running
-//!   `Σjct`/`Σjct²` (mean and Jain fairness in O(1) memory), and a mergeable
-//!   [`QuantileSketch`] for tail percentiles, plus a per-window copy that is
-//!   flushed as one TSV row every `window` completions.
-//! - **Slots**: `jobs[i]` becomes a recycled slot. A finishing tenant bumps
-//!   the slot's generation (`epoch`), so token scopes — folded modulo
-//!   [`StreamState::gen_mod`] into the 16-bit scope space — from a previous
-//!   tenant are dropped on delivery, exactly like pre-crash events in batch
-//!   mode. Per-tag fabric byte accumulators are re-zeroed on slot reuse.
+//!   line ([`ArrivalProcess::Trace`]) — instead of a batch workload's finite
+//!   in-memory list. Exactly one future arrival is staged at a time either
+//!   way; the source never materializes the horizon.
+//! - **Outcomes** fold into an accumulator instead of being kept by job id:
+//!   cumulative counters, running `Σjct`/`Σjct²` (mean and Jain fairness in
+//!   O(1) memory), and a mergeable [`QuantileSketch`] for tail percentiles,
+//!   plus a per-window copy that is flushed as one TSV row every `window`
+//!   completions.
+//! - **Slots**: the pool is sized for concurrency ([`StreamCfg::nslots`])
+//!   rather than one slot per job, so slots recycle constantly. A finishing
+//!   tenant bumps the slot's generation, so token scopes — folded modulo
+//!   `0xFFFF / nslots` into the 16-bit scope space, skipping any scope with
+//!   timers still queued — from a previous tenant are dropped on delivery,
+//!   exactly like pre-crash events. Per-tag fabric
+//!   byte accumulators are re-zeroed on slot reuse.
 //!
 //! # Snapshots
 //!
@@ -35,35 +39,30 @@
 //! and continues **byte-identically**: concatenating the output of a run
 //! stopped at a snapshot with the output of its resumption reproduces the
 //! uninterrupted run's output exactly. (Stale timers from evicted epochs
-//! that the uninterrupted run still delivers are no-ops and only shift
-//! absolute event sequence numbers, never the relative order of live
-//! events; carried-byte accumulators are *seeded* with the saved values
-//! rather than re-added, so float non-associativity cannot split the runs.)
+//! that the uninterrupted run still delivers are no-ops: they shift
+//! absolute event sequence numbers, and may make a generation bump skip
+//! further, but never change the relative order of live events, and scope
+//! numbers never reach the output; carried-byte accumulators are *seeded*
+//! with the saved values rather than re-added, so float non-associativity
+//! cannot split the runs.)
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 
-use aiacc_cluster::{ClusterNet, GpuFreeList};
 use aiacc_dnn::zoo;
-use aiacc_simnet::{Event, FaultTarget, SimTime, Simulator, Token};
+use aiacc_simnet::SimTime;
 use aiacc_trainer::{EngineKind, QuantileSketch};
 
 use crate::error::SchedError;
 use crate::metrics::ClusterMetrics;
 use crate::multijob::{
-    JobOutcome, JobRun, JobState, MultiJobCfg, MultiJobSim, ARRIVAL_KIND, CRASH_KIND, REPAIR_KIND,
-    REQUEUE_KIND,
+    fabric_utilization, serr, validate_fault_nodes, JobOutcome, MultiJobCfg, MultiJobSim, Outcomes,
+    MAX_SLOTS,
 };
 use crate::workload::{engine_by_label, JobMix, JobSpec, SplitMix64};
 
 /// First line of every snapshot file; bumped on incompatible format changes.
 const SNAPSHOT_MAGIC: &str = "aiacc-stream-snapshot v1";
-
-fn serr(msg: impl Into<String>) -> SchedError {
-    SchedError::Stream { msg: msg.into() }
-}
 
 /// How the open-loop source spaces and shapes arrivals.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,7 +171,7 @@ impl TraceReader {
     }
 }
 
-/// The saved numeric state of an [`ArrivalSource`] (one snapshot line).
+/// The saved numeric state of an [`OpenSource`] (one snapshot line).
 struct SourceSave {
     emitted: u64,
     rng: u64,
@@ -182,9 +181,36 @@ struct SourceSave {
     trace_offset: u64,
 }
 
+/// Where a run's arrivals come from.
+pub(crate) enum ArrivalSource {
+    /// A batch workload: its specs in `(arrival, id)` order.
+    Finite(std::vec::IntoIter<JobSpec>),
+    /// An open-loop generator or trace replay.
+    Open(OpenSource),
+}
+
+impl ArrivalSource {
+    /// A finite source over `specs`, sorted by arrival instant (on the
+    /// simulator's nanosecond grid) and then by id — the order in which the
+    /// simulator would deliver their arrival timers had all been scheduled
+    /// up front in id order.
+    pub(crate) fn finite(mut specs: Vec<JobSpec>) -> ArrivalSource {
+        specs.sort_by_key(|s| (SimTime::from_secs_f64(s.arrival_secs), s.id));
+        ArrivalSource::Finite(specs.into_iter())
+    }
+
+    /// Emits the next job, or `None` when the source is exhausted.
+    pub(crate) fn next(&mut self) -> Result<Option<JobSpec>, SchedError> {
+        match self {
+            ArrivalSource::Finite(specs) => Ok(specs.next()),
+            ArrivalSource::Open(src) => src.next(),
+        }
+    }
+}
+
 /// Open-loop arrival generator/replayer. Emits one [`JobSpec`] per call and
 /// carries O(1) state, so its cursor fits in a snapshot line.
-pub(crate) struct ArrivalSource {
+pub(crate) struct OpenSource {
     cfg: ArrivalCfg,
     rng: SplitMix64,
     /// Arrival clock, seconds: the last emitted job's arrival time.
@@ -198,8 +224,8 @@ pub(crate) struct ArrivalSource {
     trace: Option<TraceReader>,
 }
 
-impl ArrivalSource {
-    fn new(cfg: ArrivalCfg) -> Result<ArrivalSource, SchedError> {
+impl OpenSource {
+    fn new(cfg: ArrivalCfg) -> Result<OpenSource, SchedError> {
         let trace = match &cfg.process {
             ArrivalProcess::Trace { path } => Some(TraceReader::open(path, 0)?),
             _ => {
@@ -228,7 +254,7 @@ impl ArrivalSource {
         // Distinct from the batch generator's constant so the same seed
         // produces an independent stream.
         let rng = SplitMix64(cfg.seed ^ 0xA1AC_C5C4_ED00_0002);
-        Ok(ArrivalSource { cfg, rng, clock: 0.0, emitted: 0, burst: false, burst_left: 0, trace })
+        Ok(OpenSource { cfg, rng, clock: 0.0, emitted: 0, burst: false, burst_left: 0, trace })
     }
 
     /// Inverse rate multiplier applied to the mean gap for the next draw.
@@ -404,17 +430,11 @@ impl StreamCfg {
     }
 }
 
-/// FIFO backlog entry: a suspended slot awaiting re-placement, or an arrived
-/// job not yet admitted to a slot.
-enum QueueEntry {
-    Slot(usize),
-    Spec(JobSpec),
-}
-
 /// O(1)-memory accumulator over finished jobs: cumulative totals plus the
 /// currently-filling window.
-struct Acc {
-    emitted: u64,
+#[derive(Default)]
+pub(crate) struct Acc {
+    pub(crate) emitted: u64,
     completed: u64,
     failed: u64,
     jct_sketch: QuantileSketch,
@@ -435,94 +455,52 @@ struct Acc {
     win_jct_sum: f64,
     win_delay_sum: f64,
     win_start_secs: f64,
-    peak_backlog: usize,
-    peak_active: usize,
+    pub(crate) peak_backlog: usize,
+    pub(crate) peak_active: usize,
+}
+
+/// Implements the snapshot's `acc` line over the listed scalar fields, in
+/// order, so writing and reading can never disagree on the layout.
+macro_rules! acc_line {
+    ($($f:ident),+ $(,)?) => {
+        impl Acc {
+            fn save_line(&self) -> String {
+                let vals: Vec<String> = vec![$(self.$f.to_string()),+];
+                format!("acc\t{}", vals.join(" "))
+            }
+
+            /// Inverse of [`Acc::save_line`]; sketches are restored
+            /// separately.
+            fn restore(fields: &[&str]) -> Result<Acc, SchedError> {
+                let names = [$(stringify!($f)),+];
+                if fields.len() != names.len() {
+                    return Err(serr(format!(
+                        "snapshot acc line has {} fields, want {}",
+                        fields.len(),
+                        names.len()
+                    )));
+                }
+                let mut a = Acc::new();
+                let mut vals = fields.iter().zip(names);
+                $(
+                    let (v, name) = vals.next().expect("length checked");
+                    a.$f = pf(v, name)?;
+                )+
+                Ok(a)
+            }
+        }
+    };
+}
+
+acc_line! {
+    emitted, completed, failed, jct_sum, jct_sumsq, delay_sum, first_arrival_secs, last_finish_secs,
+    crashes, restarts, shrinks, mitigations, recovery_secs, windows_emitted, win_count, win_failed,
+    win_jct_sum, win_delay_sum, win_start_secs, peak_backlog, peak_active,
 }
 
 impl Acc {
-    fn new() -> Acc {
-        Acc {
-            emitted: 0,
-            completed: 0,
-            failed: 0,
-            jct_sketch: QuantileSketch::new_default(),
-            jct_sum: 0.0,
-            jct_sumsq: 0.0,
-            delay_sum: 0.0,
-            first_arrival_secs: f64::INFINITY,
-            last_finish_secs: 0.0,
-            crashes: 0,
-            restarts: 0,
-            shrinks: 0,
-            mitigations: 0,
-            recovery_secs: 0.0,
-            windows_emitted: 0,
-            win_sketch: QuantileSketch::new_default(),
-            win_count: 0,
-            win_failed: 0,
-            win_jct_sum: 0.0,
-            win_delay_sum: 0.0,
-            win_start_secs: 0.0,
-            peak_backlog: 0,
-            peak_active: 0,
-        }
-    }
-
-    fn save_line(&self) -> String {
-        format!(
-            "acc\t{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            self.emitted,
-            self.completed,
-            self.failed,
-            self.jct_sum,
-            self.jct_sumsq,
-            self.delay_sum,
-            self.first_arrival_secs,
-            self.last_finish_secs,
-            self.crashes,
-            self.restarts,
-            self.shrinks,
-            self.mitigations,
-            self.recovery_secs,
-            self.windows_emitted,
-            self.win_count,
-            self.win_failed,
-            self.win_jct_sum,
-            self.win_delay_sum,
-            self.win_start_secs,
-            self.peak_backlog,
-            self.peak_active,
-        )
-    }
-
-    /// Inverse of [`Acc::save_line`]; sketches are restored separately.
-    fn restore(fields: &[&str]) -> Result<Acc, SchedError> {
-        if fields.len() != 21 {
-            return Err(serr(format!("snapshot acc line has {} fields, want 21", fields.len())));
-        }
-        let mut a = Acc::new();
-        a.emitted = pf(fields[0], "acc emitted")?;
-        a.completed = pf(fields[1], "acc completed")?;
-        a.failed = pf(fields[2], "acc failed")?;
-        a.jct_sum = pf(fields[3], "acc jct_sum")?;
-        a.jct_sumsq = pf(fields[4], "acc jct_sumsq")?;
-        a.delay_sum = pf(fields[5], "acc delay_sum")?;
-        a.first_arrival_secs = pf(fields[6], "acc first_arrival")?;
-        a.last_finish_secs = pf(fields[7], "acc last_finish")?;
-        a.crashes = pf(fields[8], "acc crashes")?;
-        a.restarts = pf(fields[9], "acc restarts")?;
-        a.shrinks = pf(fields[10], "acc shrinks")?;
-        a.mitigations = pf(fields[11], "acc mitigations")?;
-        a.recovery_secs = pf(fields[12], "acc recovery_secs")?;
-        a.windows_emitted = pf(fields[13], "acc windows_emitted")?;
-        a.win_count = pf(fields[14], "acc win_count")?;
-        a.win_failed = pf(fields[15], "acc win_failed")?;
-        a.win_jct_sum = pf(fields[16], "acc win_jct_sum")?;
-        a.win_delay_sum = pf(fields[17], "acc win_delay_sum")?;
-        a.win_start_secs = pf(fields[18], "acc win_start_secs")?;
-        a.peak_backlog = pf(fields[19], "acc peak_backlog")?;
-        a.peak_active = pf(fields[20], "acc peak_active")?;
-        Ok(a)
+    pub(crate) fn new() -> Acc {
+        Acc { first_arrival_secs: f64::INFINITY, ..Acc::default() }
     }
 }
 
@@ -533,52 +511,50 @@ where
     s.parse::<T>().map_err(|e| serr(format!("snapshot: bad {what} {s:?}: {e}")))
 }
 
-/// Everything the streaming driver adds to [`MultiJobSim`].
-pub(crate) struct StreamState {
-    /// Modulus folding slot generations into the 16-bit scope space:
-    /// `0xFFFF / nslots`. Read by [`MultiJobSim`]'s scope/epoch routing.
-    pub(crate) gen_mod: u32,
-    source: ArrivalSource,
-    /// The one future arrival whose timer is in the event queue.
-    staged: Option<JobSpec>,
-    source_done: bool,
-    /// FIFO backlog in arrival order (mirrors the batch queue semantics).
-    queue: VecDeque<QueueEntry>,
-    /// Vacant slot indices; min-heap so admission fills the lowest slot.
-    free_slots: BinaryHeap<Reverse<usize>>,
-    acc: Acc,
-    /// Chronological output rows (window rows, optionally per-job rows).
-    lines: Vec<String>,
-    per_job_rows: bool,
-    window: u64,
-    snapshot_every: Option<u64>,
-    snapshot_path: Option<String>,
-    stop_after_snapshot: bool,
+fn pf_list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, SchedError>
+where
+    T::Err: std::fmt::Display,
+{
+    s.split_whitespace().map(|v| pf(v, what)).collect()
+}
+
+/// The snapshot schedule of a run (inert by default, as in batch
+/// scenarios).
+#[derive(Default)]
+pub(crate) struct Snapshots {
+    /// Write a snapshot after every this many completions.
+    every: Option<u64>,
+    path: String,
+    stop_after: bool,
     /// Completion count that arms the next snapshot.
-    next_snapshot_at: u64,
+    next_at: u64,
     /// Armed: write at the next quiescent point.
-    snapshot_due: bool,
-    stop_requested: bool,
-    snapshots_written: u32,
-    /// Crash timers still in the event queue (quiescence gate).
-    pending_crashes: usize,
-    /// Conservative lower bound on the smallest gang size in `queue`
-    /// (only lowered on push, reset when the queue empties): the backfill
-    /// walk is skipped whenever fewer GPUs than this are free.
-    min_queued_gpus: usize,
-    /// Conservative upper bound on the largest gang size in `queue` (only
-    /// raised on push, reset when the queue empties): rules out hopeless
-    /// entries without a walk.
-    max_queued_gpus: usize,
+    due: bool,
+    pub(crate) stop_requested: bool,
+    written: u32,
     /// FNV-1a digest of the canonical run configuration; a snapshot resumes
     /// only into the exact configuration that wrote it.
     digest: u64,
 }
 
+/// A streaming run's output: window rows and, optionally, per-job rows.
+pub(crate) struct Windows {
+    /// Chronological output rows.
+    lines: Vec<String>,
+    per_job_rows: bool,
+    /// Completions per window row.
+    window: u64,
+}
+
 /// Flush the (finished or partial) window as one `window\t…` TSV row and
 /// reset the per-window accumulators.
-fn emit_window_row(st: &mut StreamState, backlog: usize, active: usize, end_secs: f64) {
-    let a = &mut st.acc;
+fn emit_window_row(
+    a: &mut Acc,
+    lines: &mut Vec<String>,
+    backlog: usize,
+    active: usize,
+    end_secs: f64,
+) {
     let ok = a.win_count - a.win_failed;
     let span = end_secs - a.win_start_secs;
     let throughput = if span > 0.0 { a.win_count as f64 / span } else { 0.0 };
@@ -601,13 +577,13 @@ fn emit_window_row(st: &mut StreamState, backlog: usize, active: usize, end_secs
         a.win_failed,
     );
     a.windows_emitted += 1;
-    a.win_sketch = QuantileSketch::new_default();
+    a.win_sketch = QuantileSketch::default();
     a.win_count = 0;
     a.win_failed = 0;
     a.win_jct_sum = 0.0;
     a.win_delay_sum = 0.0;
     a.win_start_secs = end_secs;
-    st.lines.push(line);
+    lines.push(line);
 }
 
 /// Header matching the `window\t…` rows (tab-separated, 13 columns).
@@ -618,11 +594,13 @@ pub fn window_tsv_header() -> &'static str {
 
 /// Folds one outcome into the accumulator (failed jobs are excluded from
 /// JCT/delay statistics but counted everywhere else, mirroring
-/// [`crate::metrics::summarize`]).
-fn fold_outcome(st: &mut StreamState, nslots: usize, out: &JobOutcome) {
-    let backlog = st.queue.len();
-    let active = nslots - st.free_slots.len();
-    let a = &mut st.acc;
+/// [`crate::metrics::summarize`]), flushes a window row every `window`
+/// completions and arms the next snapshot.
+pub(crate) fn fold_outcome(sim: &mut MultiJobSim, out: &JobOutcome) {
+    let backlog = sim.queue_len();
+    let active = sim.slots.len() - sim.free_slots.len();
+    let Outcomes::Fold(w) = &mut sim.outcomes else { unreachable!("batch outcomes are kept") };
+    let a = &mut sim.acc;
     a.completed += 1;
     a.first_arrival_secs = a.first_arrival_secs.min(out.arrival_secs);
     a.last_finish_secs = a.last_finish_secs.max(out.finish_secs);
@@ -646,205 +624,20 @@ fn fold_outcome(st: &mut StreamState, nslots: usize, out: &JobOutcome) {
         a.win_delay_sum += delay;
     }
     a.win_count += 1;
-    if st.per_job_rows {
-        st.lines.push(out.tsv_row());
+    if w.per_job_rows {
+        w.lines.push(out.tsv_row());
     }
-    if st.acc.win_count == st.window {
-        emit_window_row(st, backlog, active, out.finish_secs);
+    if a.win_count == w.window {
+        emit_window_row(a, &mut w.lines, backlog, active, out.finish_secs);
     }
-    if st.snapshot_every.is_some() && st.acc.completed >= st.next_snapshot_at {
-        st.snapshot_due = true;
-    }
-}
-
-/// Terminal accounting for a streamed job: recycle the slot (bump its
-/// generation so lingering events die) and fold the outcome. Called from
-/// [`MultiJobSim`]'s `finish_job`.
-pub(crate) fn fold_finished(sim: &mut MultiJobSim, id: usize, out: JobOutcome) {
-    {
-        let job = &mut sim.jobs[id];
-        job.epoch = job.epoch.wrapping_add(1);
-        job.state = JobState::Vacant;
-        job.outcome = None;
-        job.scopes.clear();
-    }
-    let nslots = sim.jobs.len();
-    let st = sim.stream.as_mut().expect("fold_finished outside streaming mode");
-    st.free_slots.push(Reverse(id));
-    fold_outcome(st, nslots, &out);
-}
-
-/// Pops the lowest vacant slot, installs the spec and tries to place it.
-/// Restores the slot on placement failure.
-fn try_admit(sim: &mut MultiJobSim, spec: &JobSpec) -> bool {
-    let slot = {
-        let st = sim.stream.as_mut().expect("stream mode");
-        match st.free_slots.pop() {
-            Some(Reverse(s)) => s,
-            None => return false,
-        }
-    };
-    let model = zoo::by_name(&spec.model).expect("spec validated at emission");
-    sim.jobs[slot].install(model, spec.clone());
-    if sim.try_start(slot) {
-        let active = sim.jobs.len() - sim.stream.as_ref().expect("stream mode").free_slots.len();
-        let st = sim.stream.as_mut().expect("stream mode");
-        st.acc.peak_active = st.acc.peak_active.max(active);
-        true
-    } else {
-        sim.jobs[slot].state = JobState::Vacant;
-        sim.stream.as_mut().expect("stream mode").free_slots.push(Reverse(slot));
-        false
+    if sim.snap.every.is_some() && a.completed >= sim.snap.next_at {
+        sim.snap.due = true;
     }
 }
 
-/// Fails an arrived-but-never-admitted spec (permanent capacity loss), the
-/// slotless analogue of `fail_unplaced` on a `Pending` job.
-fn fail_spec(sim: &mut MultiJobSim, spec: &JobSpec) {
-    let t = sim.sim.now().as_secs_f64();
-    let out = JobOutcome {
-        id: spec.id,
-        model: spec.model.clone(),
-        gpus: spec.gpus,
-        engine: spec.engine.label().to_string(),
-        arrival_secs: spec.arrival_secs,
-        start_secs: t,
-        finish_secs: t,
-        nodes_used: 0,
-        iter_secs: Vec::new(),
-        comm_bytes_delivered: 0.0,
-        comm_bytes_launched: 0.0,
-        crashes: 0,
-        restarts: 0,
-        shrinks: 0,
-        recovery_secs: 0.0,
-        mitigations: 0,
-        failed: true,
-    };
-    let nslots = sim.jobs.len();
-    let st = sim.stream.as_mut().expect("stream mode");
-    fold_outcome(st, nslots, &out);
-}
-
-/// Streaming FIFO dispatch with backfill, mirroring the batch
-/// `dispatch_queue`: suspended slots are re-placed, waiting specs are
-/// admitted, and entries that can never fit again fail deterministically.
-pub(crate) fn dispatch(sim: &mut MultiJobSim) {
-    let mut i = 0;
-    // Refreshed after every successful start; placement cannot succeed for a
-    // gang larger than the free-GPU total, and a spec cannot be admitted
-    // with no vacant slot, so such entries are skipped with an integer
-    // compare instead of a placement attempt — this keeps the backfill walk
-    // cheap when a deep backlog queues behind a saturated cluster.
-    let mut free_gpus = sim.free.total_free();
-    // Nothing can be hopeless when every queued gang fits the up capacity
-    // (or repairs are pending), and nothing can start once fewer GPUs than
-    // the smallest queued gang are free — together these end the walk early
-    // instead of touching every backlogged entry. The bounds are
-    // conservative, so cutting the walk short is always sound.
-    let no_hopeless = {
-        let st = sim.stream.as_ref().expect("stream mode");
-        sim.pending_repairs > 0 || st.max_queued_gpus <= sim.up_capacity()
-    };
-    // Placement is a pure function of (policy, gang size, free list), and the
-    // free list only changes on a successful start — so once a gang size has
-    // failed to place, every later entry of the same size must fail too until
-    // something starts. Caching those sizes turns the pathological fragmented
-    // regime (a few GPUs free that no queued shape fits) from one placement
-    // attempt per backlogged entry into one per distinct gang size.
-    let mut failed_sizes: Vec<usize> = Vec::new();
-    loop {
-        {
-            let st = sim.stream.as_ref().expect("stream mode");
-            if no_hopeless && st.min_queued_gpus > free_gpus {
-                break;
-            }
-        }
-        let (slot, gpus) = {
-            let st = sim.stream.as_mut().expect("stream mode");
-            if i >= st.queue.len() {
-                if st.queue.is_empty() {
-                    st.min_queued_gpus = usize::MAX;
-                    st.max_queued_gpus = 0;
-                }
-                break;
-            }
-            match &st.queue[i] {
-                QueueEntry::Slot(s) => (Some(*s), sim.jobs[*s].spec.gpus),
-                QueueEntry::Spec(spec) => (None, spec.gpus),
-            }
-        };
-        let slots_free =
-            slot.is_some() || !sim.stream.as_ref().expect("stream mode").free_slots.is_empty();
-        if gpus > free_gpus || !slots_free {
-            // Cannot start right now; still fail deterministically the
-            // entries that can never fit again (as the batch walk does).
-            if sim.pending_repairs == 0 && gpus > sim.up_capacity() {
-                let entry = sim
-                    .stream
-                    .as_mut()
-                    .expect("stream mode")
-                    .queue
-                    .remove(i)
-                    .expect("index checked");
-                match entry {
-                    QueueEntry::Slot(s) => sim.fail_unplaced(s),
-                    QueueEntry::Spec(spec) => fail_spec(sim, &spec),
-                }
-            } else {
-                i += 1;
-            }
-            continue;
-        }
-        // A cached size cannot be hopeless (its gpus fit the free total,
-        // which never exceeds the up capacity), so skipping is exactly the
-        // attempt-and-requeue path minus the provably-futile attempt.
-        if failed_sizes.contains(&gpus) {
-            i += 1;
-            continue;
-        }
-        match slot {
-            Some(slot) => {
-                if sim.try_start(slot) {
-                    sim.stream.as_mut().expect("stream mode").queue.remove(i);
-                    free_gpus = sim.free.total_free();
-                    failed_sizes.clear();
-                } else if sim.pending_repairs == 0 && sim.jobs[slot].spec.gpus > sim.up_capacity() {
-                    sim.stream.as_mut().expect("stream mode").queue.remove(i);
-                    sim.fail_unplaced(slot);
-                } else {
-                    failed_sizes.push(gpus);
-                    i += 1;
-                }
-            }
-            None => {
-                let entry = sim
-                    .stream
-                    .as_mut()
-                    .expect("stream mode")
-                    .queue
-                    .remove(i)
-                    .expect("index checked");
-                let QueueEntry::Spec(spec) = entry else { unreachable!("kind checked") };
-                if try_admit(sim, &spec) {
-                    free_gpus = sim.free.total_free();
-                    failed_sizes.clear();
-                } else if sim.pending_repairs == 0 && spec.gpus > sim.up_capacity() {
-                    fail_spec(sim, &spec);
-                } else {
-                    failed_sizes.push(gpus);
-                    let st = sim.stream.as_mut().expect("stream mode");
-                    st.queue.insert(i, QueueEntry::Spec(spec));
-                    i += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Checks a spec against the cluster the way batch `try_new` validates a
-/// workload.
-fn validate_spec(spec: &JobSpec, capacity: usize) -> Result<(), SchedError> {
+/// Checks a spec against the cluster: a gang that fits, at least one
+/// iteration, a known model.
+pub(crate) fn validate_spec(spec: &JobSpec, capacity: usize) -> Result<(), SchedError> {
     if spec.gpus == 0 || spec.gpus > capacity {
         return Err(SchedError::BadGangSize { job: spec.id, gpus: spec.gpus, capacity });
     }
@@ -857,89 +650,17 @@ fn validate_spec(spec: &JobSpec, capacity: usize) -> Result<(), SchedError> {
     Ok(())
 }
 
-/// Handles a streamed ARRIVAL event: stage and schedule the *successor*
-/// first (so its timer's sequence number precedes everything the current
-/// admission schedules, matching the batch driver which schedules every
-/// arrival up front), then admit or enqueue the current spec.
-fn on_arrival(sim: &mut MultiJobSim) -> Result<(), SchedError> {
-    let spec = sim
-        .stream
-        .as_mut()
-        .expect("stream mode")
-        .staged
-        .take()
-        .expect("ARRIVAL event with no staged spec");
-    let next = {
-        let st = sim.stream.as_mut().expect("stream mode");
-        if st.source_done {
-            None
-        } else {
-            st.source.next()?
-        }
-    };
-    match next {
-        Some(n) => {
-            validate_spec(&n, sim.cfg.cluster.world_size())?;
-            if n.arrival_secs < spec.arrival_secs {
-                return Err(serr(format!(
-                    "arrivals must be non-decreasing: job {} at {} after {}",
-                    n.id, n.arrival_secs, spec.arrival_secs
-                )));
-            }
-            sim.sim.schedule_at(
-                SimTime::from_secs_f64(n.arrival_secs),
-                Token::new(ARRIVAL_KIND, n.id as u32, 0),
-            );
-            sim.stream.as_mut().expect("stream mode").staged = Some(n);
-        }
-        None => sim.stream.as_mut().expect("stream mode").source_done = true,
-    }
-    sim.stream.as_mut().expect("stream mode").acc.emitted += 1;
-    if !try_admit(sim, &spec) {
-        let st = sim.stream.as_mut().expect("stream mode");
-        st.min_queued_gpus = st.min_queued_gpus.min(spec.gpus);
-        st.max_queued_gpus = st.max_queued_gpus.max(spec.gpus);
-        st.queue.push_back(QueueEntry::Spec(spec));
-        let backlog = st.queue.len();
-        st.acc.peak_backlog = st.acc.peak_backlog.max(backlog);
-        dispatch(sim);
-    }
-    Ok(())
-}
-
-/// The run is over: source dry, nothing staged, backlog empty, every slot
-/// vacant.
-fn finished(sim: &MultiJobSim) -> bool {
-    let st = sim.stream.as_ref().expect("stream mode");
-    st.source_done
-        && st.staged.is_none()
-        && st.queue.is_empty()
-        && st.free_slots.len() == sim.jobs.len()
-}
-
-/// A regeneration point: the only live state is the accumulator and the
-/// staged arrival, so a snapshot is O(1). All checks are O(1) — this runs
-/// after every event while a snapshot is armed.
-fn quiescent(sim: &MultiJobSim) -> bool {
-    let st = sim.stream.as_ref().expect("stream mode");
-    st.staged.is_some()
-        && st.queue.is_empty()
-        && st.free_slots.len() == sim.jobs.len()
-        && st.pending_crashes == 0
-        && sim.pending_repairs == 0
-        && sim.sim.net().flow_count() == 0
-        && !sim.sim.faults_pending()
-}
-
 /// Serializes the full resumable state at a quiescent point.
 fn serialize_snapshot(sim: &MultiJobSim) -> String {
-    let st = sim.stream.as_ref().expect("stream mode");
+    let ArrivalSource::Open(source) = &sim.source else {
+        unreachable!("only streaming runs arm snapshots")
+    };
     let mut out = String::new();
     out.push_str(SNAPSHOT_MAGIC);
     out.push('\n');
-    out.push_str(&format!("digest\t{}\n", st.digest));
-    out.push_str(&format!("nslots\t{}\n", sim.jobs.len()));
-    let gens: Vec<String> = sim.jobs.iter().map(|j| j.epoch.to_string()).collect();
+    out.push_str(&format!("digest\t{}\n", sim.snap.digest));
+    out.push_str(&format!("nslots\t{}\n", sim.slots.len()));
+    let gens: Vec<String> = sim.slots.iter().map(|s| s.epoch.to_string()).collect();
     out.push_str(&format!("gens\t{}\n", gens.join(" ")));
     let down: Vec<String> = (0..sim.cfg.cluster.nodes)
         .filter(|&n| sim.free.node_is_down(n))
@@ -950,15 +671,15 @@ fn serialize_snapshot(sim: &MultiJobSim) -> String {
         .map(|n| format!("{}", sim.sim.net().carried_bytes(sim.physical.node_tx_resource(n))))
         .collect();
     out.push_str(&format!("carried\t{}\n", carried.join(" ")));
-    out.push_str(&st.source.save_line());
+    out.push_str(&source.save_line());
     out.push('\n');
-    let staged = st.staged.as_ref().expect("quiescent point has a staged arrival");
+    let staged = sim.staged.as_ref().expect("quiescent point has a staged arrival");
     out.push_str(&format!("staged\t{}\n", staged.to_tsv_row()));
-    out.push_str(&st.acc.save_line());
+    out.push_str(&sim.acc.save_line());
     out.push('\n');
-    out.push_str(&format!("sched\t{} {}\n", st.next_snapshot_at, st.snapshots_written));
-    out.push_str(&format!("sketch\t{}\n", st.acc.jct_sketch.to_text()));
-    out.push_str(&format!("winsketch\t{}\n", st.acc.win_sketch.to_text()));
+    out.push_str(&format!("sched\t{} {}\n", sim.snap.next_at, sim.snap.written));
+    out.push_str(&format!("sketch\t{}\n", sim.acc.jct_sketch.to_text()));
+    out.push_str(&format!("winsketch\t{}\n", sim.acc.win_sketch.to_text()));
     out.push_str("end\n");
     out
 }
@@ -966,7 +687,6 @@ fn serialize_snapshot(sim: &MultiJobSim) -> String {
 /// Parsed form of [`serialize_snapshot`].
 struct Snapshot {
     digest: u64,
-    nslots: usize,
     gens: Vec<u32>,
     down: Vec<usize>,
     carried: Vec<f64>,
@@ -991,19 +711,11 @@ fn parse_snapshot(text: &str) -> Result<Snapshot, SchedError> {
             .ok_or_else(|| serr(format!("snapshot: expected {tag:?} line, got {line:?}")))
     };
     let digest = pf(field("digest")?, "digest")?;
-    let nslots = pf(field("nslots")?, "nslots")?;
-    let gens = field("gens")?
-        .split_whitespace()
-        .map(|s| pf::<u32>(s, "slot generation"))
-        .collect::<Result<Vec<u32>, SchedError>>()?;
-    let down = field("down")?
-        .split_whitespace()
-        .map(|s| pf::<usize>(s, "down node"))
-        .collect::<Result<Vec<usize>, SchedError>>()?;
-    let carried = field("carried")?
-        .split_whitespace()
-        .map(|s| pf::<f64>(s, "carried bytes"))
-        .collect::<Result<Vec<f64>, SchedError>>()?;
+    // The slot count is covered by the digest; `gens` carries one per slot.
+    field("nslots")?;
+    let gens = pf_list(field("gens")?, "slot generation")?;
+    let down = pf_list(field("down")?, "down node")?;
+    let carried = pf_list(field("carried")?, "carried bytes")?;
     let src: Vec<&str> = field("source")?.split_whitespace().collect();
     if src.len() != 6 {
         return Err(serr(format!("snapshot source line has {} fields, want 6", src.len())));
@@ -1037,7 +749,6 @@ fn parse_snapshot(text: &str) -> Result<Snapshot, SchedError> {
     }
     Ok(Snapshot {
         digest,
-        nslots,
         gens,
         down,
         carried,
@@ -1053,103 +764,33 @@ fn parse_snapshot(text: &str) -> Result<Snapshot, SchedError> {
 /// so the file records the post-write values and the resumed run continues
 /// with exactly the state the uninterrupted run has after writing.
 fn write_snapshot(sim: &mut MultiJobSim) -> Result<(), SchedError> {
-    let path = {
-        let st = sim.stream.as_mut().expect("stream mode");
-        st.snapshot_due = false;
-        st.next_snapshot_at =
-            st.acc.completed + st.snapshot_every.expect("snapshot armed without interval");
-        st.snapshots_written += 1;
-        st.snapshot_path.clone().unwrap_or_else(|| "stream.snap".to_string())
-    };
+    let snap = &mut sim.snap;
+    snap.due = false;
+    snap.next_at = sim.acc.completed + snap.every.expect("snapshot armed without interval");
+    snap.written += 1;
     let text = serialize_snapshot(sim);
-    std::fs::write(&path, text).map_err(|e| serr(format!("cannot write snapshot {path}: {e}")))?;
-    let st = sim.stream.as_mut().expect("stream mode");
-    if st.stop_after_snapshot {
-        st.stop_requested = true;
-    }
+    let path = &sim.snap.path;
+    std::fs::write(path, text).map_err(|e| serr(format!("cannot write snapshot {path}: {e}")))?;
+    sim.snap.stop_requested = sim.snap.stop_after;
     Ok(())
 }
 
-fn maybe_snapshot(sim: &mut MultiJobSim) -> Result<(), SchedError> {
-    if !sim.stream.as_ref().expect("stream mode").snapshot_due || !quiescent(sim) {
+/// Writes the armed snapshot if the run is at a quiescent point.
+pub(crate) fn maybe_snapshot(sim: &mut MultiJobSim) -> Result<(), SchedError> {
+    if !sim.snap.due || !sim.quiescent() {
         return Ok(());
     }
     write_snapshot(sim)
 }
 
-/// The streaming event loop: the batch loop's routing plus arrival staging,
-/// generation-guarded re-queues and armed-snapshot checks.
-fn run_stream_loop(sim: &mut MultiJobSim) -> Result<(), SchedError> {
-    loop {
-        if sim.stream.as_ref().expect("stream mode").stop_requested || finished(sim) {
-            return Ok(());
-        }
-        let Some((t, ev)) = sim.sim.next_event() else {
-            let st = sim.stream.as_ref().expect("stream mode");
-            return Err(serr(format!(
-                "event queue drained with work left (staged={}, backlog={}, active={})",
-                st.staged.is_some(),
-                st.queue.len(),
-                sim.jobs.len() - st.free_slots.len(),
-            )));
-        };
-        match ev {
-            Event::Timer(tok) if tok.scope() == 0 => match tok.kind {
-                ARRIVAL_KIND => on_arrival(sim)?,
-                CRASH_KIND => {
-                    let st = sim.stream.as_mut().expect("stream mode");
-                    st.pending_crashes = st.pending_crashes.saturating_sub(1);
-                    sim.on_crash(tok.a as usize, t);
-                }
-                REPAIR_KIND => sim.on_repair(tok.a as usize, t),
-                REQUEUE_KIND => {
-                    let slot = tok.a as usize;
-                    // The token carries the generation it was scheduled for:
-                    // a re-queue must not resume a *later* tenant that is
-                    // suspended in the same recycled slot.
-                    let gen_live = {
-                        let st = sim.stream.as_ref().expect("stream mode");
-                        tok.b == (sim.jobs[slot].epoch % st.gen_mod) as u64
-                    };
-                    if gen_live && matches!(sim.jobs[slot].state, JobState::Suspended(_)) {
-                        let gpus = sim.jobs[slot].spec.gpus;
-                        let st = sim.stream.as_mut().expect("stream mode");
-                        st.min_queued_gpus = st.min_queued_gpus.min(gpus);
-                        st.max_queued_gpus = st.max_queued_gpus.max(gpus);
-                        st.queue.push_back(QueueEntry::Slot(slot));
-                        let backlog = st.queue.len();
-                        st.acc.peak_backlog = st.acc.peak_backlog.max(backlog);
-                        dispatch(sim);
-                    }
-                }
-                _ => {}
-            },
-            Event::Timer(tok) => {
-                let (slot, epoch) = sim.decode_scope(tok.scope());
-                if sim.epoch_live(slot, epoch) {
-                    sim.on_job_timer(slot, tok, t);
-                }
-            }
-            Event::FlowCompleted(f) => sim.on_flow(f, t),
-            Event::Fault(rec) => sim.on_fault(&rec, t),
-        }
-        maybe_snapshot(sim)?;
-    }
-}
-
 /// End-of-run cluster summary from the O(1) accumulator (percentiles come
 /// from the sketch; mean/fairness from the running sums).
 fn make_summary(sim: &MultiJobSim) -> ClusterMetrics {
-    let st = sim.stream.as_ref().expect("stream mode");
-    let a = &st.acc;
+    let a = &sim.acc;
     let ok = a.completed - a.failed;
     let makespan = if a.completed > 0 { a.last_finish_secs - a.first_arrival_secs } else { 0.0 };
-    let nodes = sim.cfg.cluster.nodes;
-    let nic_rate = sim.cfg.cluster.node.nic.bytes_per_sec();
-    let carried: f64 =
-        (0..nodes).map(|n| sim.sim.net().carried_bytes(sim.physical.node_tx_resource(n))).sum();
     let fabric_utilization =
-        if makespan > 0.0 { carried / (nic_rate * nodes as f64 * makespan) } else { 0.0 };
+        fabric_utilization(&sim.cfg.cluster, &sim.sim, &sim.physical, makespan);
     let q = |p: f64| a.jct_sketch.quantile(p).unwrap_or(0.0);
     let jain_fairness = if ok == 0 || a.jct_sumsq == 0.0 {
         1.0
@@ -1246,8 +887,8 @@ pub struct StreamReport {
     pub stats: StreamStats,
 }
 
-/// A streaming replay run: [`MultiJobSim`] in slot mode plus the arrival
-/// source, windowed accumulator and snapshot machinery.
+/// A streaming replay run: the [`MultiJobSim`] loop fed by an open-loop
+/// arrival source, with the windowed accumulator and snapshot machinery.
 pub struct StreamSim {
     sim: MultiJobSim,
 }
@@ -1272,197 +913,130 @@ impl StreamSim {
     }
 
     fn build(cfg: StreamCfg, snap: Option<&str>) -> Result<StreamSim, SchedError> {
-        let base = cfg.base.clone();
+        let mut base = cfg.base.clone();
+        // Structured tracing grows with the horizon; streaming never traces.
+        base.trace = false;
+        validate_fault_nodes(&base)?;
         let nodes = base.cluster.nodes;
         let world = base.cluster.world_size();
-        for ev in base.faults.events() {
-            if let FaultTarget::Node(n) = ev.target {
-                if n as usize >= nodes {
-                    return Err(SchedError::FaultNodeOutOfRange { node: n, nodes });
-                }
-            }
-        }
         if cfg.window == 0 {
             return Err(serr("window must be positive"));
         }
-        if let Some(every) = cfg.snapshot_every {
-            if every == 0 {
-                return Err(serr("snapshot interval must be positive"));
-            }
+        if cfg.snapshot_every == Some(0) {
+            return Err(serr("snapshot interval must be positive"));
         }
         let nslots = cfg.nslots.unwrap_or_else(|| (2 * world).clamp(16, 1024));
         if nslots == 0 {
             return Err(serr("slot pool must be positive"));
         }
-        let gen_mod = 0xFFFFusize / nslots;
-        if gen_mod < 2 {
+        if nslots > MAX_SLOTS {
             return Err(serr(format!(
-                "{nslots} slots leave no generation space in the 16-bit scope (max 32767)"
+                "{nslots} slots leave no generation space in the 16-bit scope (max {MAX_SLOTS})"
             )));
         }
         let digest = config_digest(&cfg, nslots);
 
-        let mut source = ArrivalSource::new(cfg.arrivals.clone())?;
-        let mut sim = Simulator::new();
-        let physical = ClusterNet::build(&base.cluster, sim.net_mut());
-        let mut free = GpuFreeList::new(&base.cluster);
-        let faults = base.faults.resolve_links(|n| {
-            vec![physical.node_tx_resource(n as usize), physical.node_rx_resource(n as usize)]
-        });
-
-        let mut jobs: Vec<JobRun> = (0..nslots).map(|_| JobRun::vacant()).collect();
-        let mut pending_repairs = 0usize;
-        let mut pending_crashes = 0usize;
-        let mut acc = Acc::new();
-        let mut next_snapshot_at = cfg.snapshot_every.unwrap_or(0);
-        let mut snapshots_written = 0u32;
-        let staged;
-
-        match snap {
-            None => {
-                sim.install_faults(&faults);
-                let first =
-                    source.next()?.ok_or_else(|| serr("arrival source produced no jobs"))?;
-                validate_spec(&first, world)?;
-                sim.schedule_at(
-                    SimTime::from_secs_f64(first.arrival_secs),
-                    Token::new(ARRIVAL_KIND, first.id as u32, 0),
-                );
-                staged = Some(first);
-                for (node, at, repair) in faults.crash_spans() {
-                    sim.schedule_at(at, Token::new(CRASH_KIND, node, 0));
-                    pending_crashes += 1;
-                    if let Some(up_at) = repair {
-                        sim.schedule_at(up_at, Token::new(REPAIR_KIND, node, 0));
-                        pending_repairs += 1;
-                    }
-                }
+        let mut source = OpenSource::new(cfg.arrivals.clone())?;
+        let saved = snap.map(parse_snapshot).transpose()?;
+        if let Some(s) = &saved {
+            if s.digest != digest {
+                return Err(serr(
+                    "snapshot was written by a different configuration (digest mismatch)",
+                ));
             }
-            Some(text) => {
-                let s = parse_snapshot(text)?;
-                if s.digest != digest {
-                    return Err(serr(
-                        "snapshot was written by a different configuration (digest mismatch)",
-                    ));
-                }
-                if s.nslots != nslots {
-                    return Err(serr(format!(
-                        "snapshot has {} slots, run is configured for {nslots}",
-                        s.nslots
-                    )));
-                }
-                if s.gens.len() != nslots {
-                    return Err(serr(format!(
-                        "snapshot has {} slot generations, want {nslots}",
-                        s.gens.len()
-                    )));
-                }
-                if s.carried.len() != nodes {
-                    return Err(serr(format!(
-                        "snapshot has {} carried-byte counters, cluster has {nodes} nodes",
-                        s.carried.len()
-                    )));
-                }
-                for (j, g) in jobs.iter_mut().zip(&s.gens) {
-                    j.epoch = *g;
+            if s.gens.len() != nslots {
+                return Err(serr(format!(
+                    "snapshot has {} slot generations, want {nslots}",
+                    s.gens.len()
+                )));
+            }
+            if s.carried.len() != nodes {
+                return Err(serr(format!(
+                    "snapshot has {} carried-byte counters, cluster has {nodes} nodes",
+                    s.carried.len()
+                )));
+            }
+            if let Some(n) = s.down.iter().find(|&&n| n >= nodes) {
+                return Err(serr(format!(
+                    "snapshot marks node {n} down, cluster has {nodes} nodes"
+                )));
+            }
+            source.restore(&s.source)?;
+            validate_spec(&s.staged, world)?;
+        }
+
+        let snapshots = Snapshots {
+            every: cfg.snapshot_every,
+            path: cfg.snapshot_path.clone().unwrap_or_else(|| "stream.snap".to_string()),
+            stop_after: cfg.stop_after_snapshot,
+            next_at: cfg.snapshot_every.unwrap_or(0),
+            digest,
+            ..Snapshots::default()
+        };
+        let windows =
+            Windows { lines: Vec::new(), per_job_rows: cfg.per_job_rows, window: cfg.window };
+        let mut sim = MultiJobSim::assemble(
+            base,
+            ArrivalSource::Open(source),
+            nslots,
+            Outcomes::Fold(windows),
+            snapshots,
+        );
+        match saved {
+            None => sim.start_fresh()?,
+            Some(s) => {
+                for (slot, g) in sim.slots.iter_mut().zip(&s.gens) {
+                    slot.epoch = *g;
                 }
                 for &n in &s.down {
-                    if n >= nodes {
-                        return Err(serr(format!(
-                            "snapshot marks node {n} down, cluster has {nodes} nodes"
-                        )));
-                    }
-                    free.set_node_down(n);
+                    sim.free.set_node_down(n);
                 }
                 // Seed (not add) the saved accumulators: float addition is
                 // not associative, so only exact seeding keeps every later
                 // partial sum bitwise identical to the uninterrupted run.
                 for (n, &bytes) in s.carried.iter().enumerate() {
-                    sim.net_mut().seed_carried_bytes(physical.node_tx_resource(n), bytes);
+                    let tx = sim.physical.node_tx_resource(n);
+                    sim.sim.net_mut().seed_carried_bytes(tx, bytes);
                 }
-                source.restore(&s.source)?;
-                validate_spec(&s.staged, world)?;
-                sim.schedule_at(
-                    SimTime::from_secs_f64(s.staged.arrival_secs),
-                    Token::new(ARRIVAL_KIND, s.staged.id as u32, 0),
-                );
-                staged = Some(s.staged);
-                acc = s.acc;
-                next_snapshot_at = s.next_snapshot_at;
-                snapshots_written = s.snapshots_written;
                 // Quiescence at write time implies the fault horizon was
                 // exhausted, so no faults or crash/repair timers are
                 // re-installed; the resolved plan stays available because
                 // `compute_factor` is a pure function of (plan, node, time).
+                sim.stage(s.staged);
+                sim.acc = s.acc;
+                sim.snap.next_at = s.next_snapshot_at;
+                sim.snap.written = s.snapshots_written;
             }
         }
-
-        let st = StreamState {
-            gen_mod: gen_mod as u32,
-            source,
-            staged,
-            source_done: false,
-            queue: VecDeque::new(),
-            free_slots: (0..nslots).map(Reverse).collect(),
-            acc,
-            lines: Vec::new(),
-            per_job_rows: cfg.per_job_rows,
-            window: cfg.window,
-            snapshot_every: cfg.snapshot_every,
-            snapshot_path: cfg.snapshot_path.clone(),
-            stop_after_snapshot: cfg.stop_after_snapshot,
-            next_snapshot_at,
-            snapshot_due: false,
-            stop_requested: false,
-            snapshots_written,
-            pending_crashes,
-            min_queued_gpus: usize::MAX,
-            max_queued_gpus: 0,
-            digest,
-        };
-        Ok(StreamSim {
-            sim: MultiJobSim {
-                cfg: base,
-                sim,
-                physical,
-                free,
-                faults,
-                jobs,
-                queue: Vec::new(),
-                pending_repairs,
-                stream: Some(Box::new(st)),
-            },
-        })
+        Ok(StreamSim { sim })
     }
 
     /// Runs until the source drains (or the first snapshot, with
     /// [`StreamCfg::stop_after_snapshot`]).
     pub fn run(mut self) -> Result<StreamReport, SchedError> {
-        run_stream_loop(&mut self.sim)?;
-        let stopped = self.sim.stream.as_ref().expect("stream mode").stop_requested;
-        if !stopped {
-            let st = self.sim.stream.as_mut().expect("stream mode");
-            if st.acc.win_count > 0 {
-                let end = st.acc.last_finish_secs;
-                emit_window_row(st, 0, 0, end);
-            }
+        let sim = &mut self.sim;
+        sim.run_loop()?;
+        let stopped = sim.snap.stop_requested;
+        let Outcomes::Fold(w) = &mut sim.outcomes else { unreachable!("streaming folds") };
+        if !stopped && sim.acc.win_count > 0 {
+            let end = sim.acc.last_finish_secs;
+            emit_window_row(&mut sim.acc, &mut w.lines, 0, 0, end);
         }
-        let summary = if stopped { None } else { Some(make_summary(&self.sim)) };
-        let nslots = self.sim.jobs.len();
-        let st = self.sim.stream.take().expect("stream mode");
-        let a = st.acc;
+        let lines = std::mem::take(&mut w.lines);
+        let summary = if stopped { None } else { Some(make_summary(sim)) };
+        let a = &sim.acc;
         Ok(StreamReport {
-            lines: st.lines,
+            lines,
             summary,
             stats: StreamStats {
                 emitted: a.emitted,
                 completed: a.completed,
                 failed: a.failed,
                 windows_emitted: a.windows_emitted,
-                nslots,
+                nslots: sim.slots.len(),
                 peak_backlog: a.peak_backlog,
                 peak_active: a.peak_active,
-                snapshots_written: st.snapshots_written,
+                snapshots_written: sim.snap.written,
                 stopped_at_snapshot: stopped,
                 sketch_max_rank_error: a.jct_sketch.max_rank_error(),
                 sketch_stored_items: a.jct_sketch.stored_items(),
@@ -1498,8 +1072,8 @@ mod tests {
 
     #[test]
     fn source_is_deterministic_and_monotone() {
-        let mut a = ArrivalSource::new(cfg(ArrivalProcess::Poisson, 50)).unwrap();
-        let mut b = ArrivalSource::new(cfg(ArrivalProcess::Poisson, 50)).unwrap();
+        let mut a = OpenSource::new(cfg(ArrivalProcess::Poisson, 50)).unwrap();
+        let mut b = OpenSource::new(cfg(ArrivalProcess::Poisson, 50)).unwrap();
         let mut last = 0.0;
         for _ in 0..50 {
             let ja = a.next().unwrap().unwrap();
@@ -1514,7 +1088,7 @@ mod tests {
     #[test]
     fn diurnal_and_bursty_stay_monotone() {
         for p in [ArrivalProcess::Diurnal { period_secs: 120.0 }, ArrivalProcess::Bursty] {
-            let mut s = ArrivalSource::new(cfg(p, 200)).unwrap();
+            let mut s = OpenSource::new(cfg(p, 200)).unwrap();
             let mut last = 0.0;
             while let Some(j) = s.next().unwrap() {
                 assert!(j.arrival_secs >= last, "arrivals must be non-decreasing");
@@ -1525,7 +1099,7 @@ mod tests {
 
     #[test]
     fn source_cursor_save_restore_is_exact() {
-        let mut s = ArrivalSource::new(cfg(ArrivalProcess::Bursty, 100)).unwrap();
+        let mut s = OpenSource::new(cfg(ArrivalProcess::Bursty, 100)).unwrap();
         for _ in 0..37 {
             s.next().unwrap().unwrap();
         }
@@ -1539,7 +1113,7 @@ mod tests {
             burst_left: fields[4].parse().unwrap(),
             trace_offset: fields[5].parse().unwrap(),
         };
-        let mut r = ArrivalSource::new(cfg(ArrivalProcess::Bursty, 100)).unwrap();
+        let mut r = OpenSource::new(cfg(ArrivalProcess::Bursty, 100)).unwrap();
         r.restore(&save).unwrap();
         loop {
             let x = s.next().unwrap();
@@ -1553,13 +1127,13 @@ mod tests {
 
     #[test]
     fn generated_source_rejects_bad_config() {
-        assert!(ArrivalSource::new(cfg(ArrivalProcess::Poisson, 0)).is_err());
+        assert!(OpenSource::new(cfg(ArrivalProcess::Poisson, 0)).is_err());
         let mut c = cfg(ArrivalProcess::Poisson, 5);
         c.mean_interarrival_secs = 0.0;
-        assert!(ArrivalSource::new(c).is_err());
+        assert!(OpenSource::new(c).is_err());
         let mut c = cfg(ArrivalProcess::Poisson, 5);
         c.iterations = 0;
-        assert!(ArrivalSource::new(c).is_err());
+        assert!(OpenSource::new(c).is_err());
     }
 
     #[test]

@@ -171,9 +171,15 @@ pub fn run(workers: usize, f: &(dyn Fn(usize) + Sync)) {
     if workers <= 1 || BUSY.swap(true, Ordering::Acquire) {
         // Width 1, a nested call from inside a worker, or a concurrent
         // fan-out elsewhere: run inline. Exactly the same calls happen,
-        // just on this one thread.
+        // just on this one thread, and a panic waits for the rest too.
+        let mut panicked = None;
         for w in 0..workers {
-            f(w);
+            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| f(w))) {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
         return;
     }

@@ -102,6 +102,8 @@ pub struct Simulator {
     /// Current token/flow scope (0 = unscoped). See
     /// [`Simulator::set_token_scope`].
     token_scope: u32,
+    /// Queued timers per [`Token::scope`] (index = scope; 0 not counted).
+    scoped_timers: Vec<u32>,
     /// Bits of the last `active_flows` counter sample, for dedup: the
     /// counter is re-emitted only on an actual flow-count transition.
     last_flow_counter: Option<u64>,
@@ -152,6 +154,13 @@ impl Simulator {
             );
             token.kind |= self.token_scope << TOKEN_SCOPE_SHIFT;
         }
+        let s = token.scope() as usize;
+        if s != 0 {
+            if s >= self.scoped_timers.len() {
+                self.scoped_timers.resize(s + 1, 0);
+            }
+            self.scoped_timers[s] += 1;
+        }
         self.timers.push(at.as_nanos(), token);
     }
 
@@ -173,6 +182,13 @@ impl Simulator {
     /// The currently armed token scope (`0` = unscoped).
     pub fn token_scope(&self) -> u32 {
         self.token_scope
+    }
+
+    /// Timers stamped with `scope` that have not fired yet. A driver that
+    /// recycles scopes reuses one only when this is `0`, so no timer of an
+    /// earlier owner can be mistaken for the new owner's.
+    pub fn timers_pending_in_scope(&self, scope: u32) -> u32 {
+        self.scoped_timers.get(scope as usize).copied().unwrap_or(0)
     }
 
     /// Starts a network flow at the current time. While a token scope is
@@ -343,6 +359,9 @@ impl Simulator {
                 (None, None) => return None,
                 (Some(tt), tf) if tf.is_none_or(|tf| tt <= tf) => {
                     let (at_ns, token) = self.timers.pop().expect("peeked");
+                    if token.scope() != 0 {
+                        self.scoped_timers[token.scope() as usize] -= 1;
+                    }
                     let at = SimTime::from_nanos(at_ns);
                     self.net.advance_to(at);
                     self.emit_flow_counter();
@@ -385,6 +404,25 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scoped_timers_are_counted_until_they_fire() {
+        let mut sim = Simulator::new();
+        sim.set_token_scope(7);
+        sim.schedule(SimDuration::from_nanos(10), Token::new(1, 0, 0));
+        sim.schedule(SimDuration::from_nanos(20), Token::new(1, 0, 1));
+        sim.set_token_scope(0);
+        sim.schedule(SimDuration::from_nanos(5), Token::new(2, 0, 0));
+        let pending =
+            |sim: &Simulator| (sim.timers_pending_in_scope(7), sim.timers_pending_in_scope(8));
+        assert_eq!(pending(&sim), (2, 0));
+        sim.next_event(); // the unscoped timer
+        assert_eq!(pending(&sim), (2, 0));
+        sim.next_event();
+        assert_eq!(pending(&sim), (1, 0));
+        sim.next_event();
+        assert_eq!(pending(&sim), (0, 0));
+    }
 
     #[test]
     fn timers_fire_in_order_with_fifo_ties() {

@@ -4,11 +4,13 @@
 //! Two halves, mirroring the two planes of the lower crates:
 //!
 //! * **Timing plane** — [`TrainingSim`]/[`run_training_sim`] drive any
-//!   [`aiacc_core::ddl::DdlEngine`] (AIACC or a baseline) through simulated
-//!   training iterations on a [`aiacc_cluster::ClusterSpec`], producing the
-//!   throughput numbers behind every figure of the paper: per-worker compute
-//!   with deterministic jitter, gradient-ready schedules, overlap of
-//!   backward with communication, and synchronous iteration boundaries.
+//!   [`aiacc_core::ddl::DdlEngine`] (AIACC or a baseline), through the
+//!   per-job [`JobDriver`] the multi-job scheduler also uses, across
+//!   simulated training iterations on a [`aiacc_cluster::ClusterSpec`],
+//!   producing the throughput numbers behind every figure of the paper:
+//!   per-worker compute with deterministic jitter, gradient-ready
+//!   schedules, overlap of backward with communication, and synchronous
+//!   iteration boundaries.
 //! * **Data plane** — [`DataParallelTrainer`] trains a *real* MLP across
 //!   simulated workers through the exact collectives, demonstrating the
 //!   numerical equivalence of distributed and single-worker training, plus
@@ -22,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod async_dp;
 mod dataparallel;
 pub mod dawnbench;
 mod engines;
@@ -41,5 +42,5 @@ pub use metrics::{
 };
 pub use sim::{
     comm_stream_limits, run_training_sim, schedule_worker_compute, ComputeAttempt,
-    IterationBreakdown, TrainingSim, TrainingSimConfig, BWD_KIND, GRAD_KIND,
+    IterationBreakdown, JobDriver, TrainingSim, TrainingSimConfig, BWD_KIND, GRAD_KIND,
 };

@@ -175,6 +175,13 @@ pub struct QuantileSketch {
     compactions: u64,
 }
 
+impl Default for QuantileSketch {
+    /// A sketch with the default capacity [`SKETCH_DEFAULT_K`].
+    fn default() -> Self {
+        QuantileSketch::new_default()
+    }
+}
+
 impl QuantileSketch {
     /// Creates a sketch with per-level capacity `k`.
     ///

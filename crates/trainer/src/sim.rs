@@ -8,7 +8,7 @@ use aiacc_collectives::CollectiveEngine;
 use aiacc_core::ddl::{DdlCtx, DdlEngine, ENGINE_TIMER_KIND};
 use aiacc_dnn::{DType, GradId, ModelProfile};
 use aiacc_simnet::trace::track;
-use aiacc_simnet::{Event, FaultPlan, SimDuration, SimTime, Simulator, Token, TraceSink};
+use aiacc_simnet::{Event, FaultPlan, FlowId, SimDuration, SimTime, Simulator, Token, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// Timer kind announcing one worker's gradient became ready (`a` = worker,
@@ -83,6 +83,123 @@ pub fn comm_stream_limits(
         aiacc_cluster::NetKind::Tcp => compute.max_comm_streams_during_compute(model),
     };
     (busy, compute.max_comm_streams_idle())
+}
+
+/// One job's iteration state machine: backward makes gradients ready, the
+/// engine all-reduces them over the job's collective engine, and the
+/// iteration's communication is done once every worker finished backward and
+/// the engine reports all gradients aggregated.
+///
+/// [`TrainingSim`] drives one of these on its own simulator; the multi-job
+/// scheduler (`aiacc-sched`) drives one per running job on a shared
+/// simulator, each over a [`ClusterNet::subnet`] view. Every engine callback
+/// goes through this type, so both paths hand the engine the same context.
+pub struct JobDriver {
+    cluster: ClusterNet,
+    coll: CollectiveEngine,
+    engine: Box<dyn DdlEngine>,
+    /// Stream limit while any worker still runs backward.
+    streams_busy: usize,
+    /// Stream limit once every worker is idle.
+    streams_idle: usize,
+    /// Workers that have not finished backward in the current attempt.
+    busy_workers: usize,
+}
+
+impl JobDriver {
+    /// A driver for `engine` over `cluster`, with the `(busy, idle)` stream
+    /// limits of [`comm_stream_limits`].
+    pub fn new(cluster: ClusterNet, engine: Box<dyn DdlEngine>, limits: (usize, usize)) -> Self {
+        let (streams_busy, streams_idle) = limits;
+        JobDriver {
+            cluster,
+            coll: CollectiveEngine::new(),
+            engine,
+            streams_busy,
+            streams_idle,
+            busy_workers: 0,
+        }
+    }
+
+    /// The engine (for its name and counters).
+    pub fn engine(&self) -> &dyn DdlEngine {
+        self.engine.as_ref()
+    }
+
+    /// Workers still running backward in the current attempt.
+    pub fn busy_workers(&self) -> usize {
+        self.busy_workers
+    }
+
+    /// Whether the collective engine owns flow `f`.
+    pub fn owns_flow(&self, f: FlowId) -> bool {
+        self.coll.owns_flow(f)
+    }
+
+    /// Runs `f` on the engine with the context for the current stream limit.
+    fn with_engine(
+        &mut self,
+        sim: &mut Simulator,
+        f: impl FnOnce(&mut dyn DdlEngine, &mut DdlCtx<'_>),
+    ) {
+        let max_streams_now =
+            if self.busy_workers > 0 { self.streams_busy } else { self.streams_idle };
+        let mut cx = DdlCtx { sim, coll: &mut self.coll, cluster: &self.cluster, max_streams_now };
+        f(self.engine.as_mut(), &mut cx);
+    }
+
+    /// Begins an iteration attempt: resets the engine, then schedules every
+    /// worker's compute (see [`schedule_worker_compute`]). Returns the time
+    /// the slowest worker finishes backward.
+    pub fn begin_iteration(
+        &mut self,
+        sim: &mut Simulator,
+        attempt: &ComputeAttempt<'_>,
+        compute_scale: impl Fn(usize) -> f64,
+    ) -> SimTime {
+        self.busy_workers = attempt.world;
+        self.with_engine(sim, |e, cx| e.begin_iteration(cx, attempt.iter));
+        schedule_worker_compute(sim, attempt, compute_scale)
+    }
+
+    /// Hands one event to the engine: a [`GRAD_KIND`], [`BWD_KIND`] or
+    /// [`ENGINE_TIMER_KIND`] timer (scope stamps are ignored), a flow
+    /// completion of this job's collective engine, or a fault record. Other
+    /// timers are ignored.
+    pub fn on_event(&mut self, sim: &mut Simulator, ev: Event) {
+        match ev {
+            Event::Timer(tok) => match tok.base_kind() {
+                GRAD_KIND => self.with_engine(sim, |e, cx| {
+                    e.on_grad_ready(cx, tok.a as usize, GradId(tok.b as u32))
+                }),
+                BWD_KIND => {
+                    self.busy_workers -= 1;
+                    self.with_engine(sim, |e, cx| e.on_backward_done(cx, tok.a as usize));
+                }
+                ENGINE_TIMER_KIND => self.with_engine(sim, |e, cx| e.on_timer(cx, tok.a, tok.b)),
+                _ => {}
+            },
+            Event::FlowCompleted(f) => {
+                if let Some(op) = self.coll.on_flow_completed(sim, f) {
+                    self.with_engine(sim, |e, cx| e.on_collective_done(cx, op));
+                }
+            }
+            Event::Fault(rec) => self.with_engine(sim, |e, cx| e.on_fault(cx, &rec)),
+        }
+    }
+
+    /// Whether the current attempt's communication is done: every worker
+    /// finished backward and the engine aggregated every gradient.
+    pub fn comm_done(&self) -> bool {
+        self.busy_workers == 0 && self.engine.comm_done()
+    }
+
+    /// Aborts the current attempt: cancels every in-flight collective and
+    /// marks the workers idle (later faults see the idle stream limit).
+    pub fn abort(&mut self, sim: &mut Simulator) {
+        self.coll.cancel_all(sim);
+        self.busy_workers = 0;
+    }
 }
 
 /// Configuration of one simulated training run.
@@ -198,7 +315,7 @@ impl TrainingSimConfig {
 /// The *communication tail* — how long the job waits for gradient
 /// aggregation after every worker finished backward — is exactly the
 /// quantity AIACC's overlap machinery minimizes (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IterationBreakdown {
     /// When the slowest worker finished backward, seconds.
     pub backward_end_secs: f64,
@@ -232,9 +349,7 @@ impl IterationBreakdown {
 pub struct TrainingSim {
     cfg: TrainingSimConfig,
     sim: Simulator,
-    cluster: ClusterNet,
-    coll: CollectiveEngine,
-    engine: Box<dyn DdlEngine>,
+    driver: JobDriver,
     compute: ComputeModel,
     iter: u64,
     /// The fault plan with node-targeted link faults resolved to NIC
@@ -247,7 +362,7 @@ pub struct TrainingSim {
 impl std::fmt::Debug for TrainingSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrainingSim")
-            .field("engine", &self.engine.name())
+            .field("engine", &self.driver.engine().name())
             .field("iter", &self.iter)
             .finish()
     }
@@ -279,12 +394,11 @@ impl TrainingSim {
             assert!((node as usize) < nodes, "crash targets node {node}, cluster has {nodes}");
             sim.schedule_at(at, Token::new(FAULT_CRASH_KIND, node, 0));
         }
+        let limits = comm_stream_limits(&compute, &cfg.cluster, &cfg.model);
         TrainingSim {
             cfg,
             sim,
-            cluster,
-            coll: CollectiveEngine::new(),
-            engine,
+            driver: JobDriver::new(cluster, engine, limits),
             compute,
             iter: 0,
             faults,
@@ -292,34 +406,32 @@ impl TrainingSim {
         }
     }
 
-    /// Wall-clock cost of one crash: a replayed checkpoint restart (see
-    /// [`crate::recovery::replay_failure_recovery`]). Computed once — the
-    /// replay is deterministic, every crash costs the same.
-    fn recovery_pause_secs(&mut self) -> f64 {
-        if self.recovery_cost.is_none() {
-            self.recovery_cost = Some(
-                replay_failure_recovery(
-                    &self.cfg.cluster,
-                    &self.cfg.model,
-                    RecoveryConfig::default(),
-                )
-                .total_secs,
-            );
+    /// Charges a crash of `node` to `out`: the running attempt is aborted
+    /// (in-flight collectives torn down) and the job pays a replayed
+    /// checkpoint restart (see
+    /// [`crate::recovery::replay_failure_recovery`]; computed once — the
+    /// replay is deterministic, every crash costs the same). Returns the
+    /// pause.
+    fn crash(&mut self, node: u32, out: &mut IterationBreakdown) -> SimDuration {
+        let (cluster, model) = (&self.cfg.cluster, &self.cfg.model);
+        let pause = *self.recovery_cost.get_or_insert_with(|| {
+            replay_failure_recovery(cluster, model, RecoveryConfig::default()).total_secs
+        });
+        out.crashes += 1;
+        out.recovery_secs += pause;
+        if self.sim.tracing_enabled() {
+            let name = format!("crash n{node}");
+            self.sim.trace_instant(track::TRAINER, 0, &name, "fault", Some(pause));
         }
-        self.recovery_cost.expect("just set")
+        self.driver.abort(&mut self.sim);
+        SimDuration::from_secs_f64(pause)
     }
 
     /// Advances the simulator to `end`, dropping stale work: fault records
     /// are still routed to the engine, and a crash timer landing inside the
     /// window extends it by a checkpoint restart. Returns the boundary
     /// actually reached.
-    fn drain_to(
-        &mut self,
-        mut end: SimTime,
-        fault_events: &mut u32,
-        crashes: &mut u32,
-        recovery_secs: &mut f64,
-    ) -> SimTime {
+    fn drain_to(&mut self, mut end: SimTime, out: &mut IterationBreakdown) -> SimTime {
         while self.sim.now() < end {
             self.sim.schedule_at(end, Token::new(u32::MAX, 0, 0));
             while let Some((t, ev)) = self.sim.next_event() {
@@ -329,25 +441,13 @@ impl TrainingSim {
                     // fires early (t < end) and is dropped.
                     Event::Timer(tok) if tok.kind == u32::MAX => {}
                     Event::Timer(tok) if tok.kind == FAULT_CRASH_KIND => {
-                        *crashes += 1;
-                        let pause = self.recovery_pause_secs();
-                        *recovery_secs += pause;
-                        if self.sim.tracing_enabled() {
-                            let name = format!("crash n{}", tok.a);
-                            self.sim.trace_instant(track::TRAINER, 0, &name, "fault", Some(pause));
-                        }
-                        self.coll.cancel_all(&mut self.sim);
-                        end = t + SimDuration::from_secs_f64(pause);
+                        end = t + self.crash(tok.a, out);
                     }
-                    Event::Fault(rec) => {
-                        *fault_events += 1;
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: self.compute.max_comm_streams_idle(),
-                        };
-                        self.engine.on_fault(&mut cx, &rec);
+                    // Every worker is idle here (comm done, or the attempt
+                    // was aborted), so the engine sees the idle limit.
+                    Event::Fault(_) => {
+                        out.fault_events += 1;
+                        self.driver.on_event(&mut self.sim, ev);
                     }
                     // Stale timers / lingering flows from engines are dropped.
                     _ => {}
@@ -373,7 +473,7 @@ impl TrainingSim {
     /// exposes them (baselines return `None`). Lets harnesses cross-check
     /// trace-derived lane counts against `AiaccStats::peak_streams`.
     pub fn engine_stats(&self) -> Option<aiacc_core::AiaccStats> {
-        self.engine.aiacc_stats()
+        self.driver.engine().aiacc_stats()
     }
 
     /// Cumulative fluid-solver work counters of the underlying network
@@ -405,15 +505,8 @@ impl TrainingSim {
         let world = self.cfg.cluster.world_size();
         let batch = self.batch_per_gpu();
         let t0 = self.sim.now();
-        let fw = self.cfg.framework;
         let timing = self.compute.iteration_timing(&self.cfg.model, batch, DType::F32);
-
-        let (streams_busy, streams_idle) =
-            comm_stream_limits(&self.compute, &self.cfg.cluster, &self.cfg.model);
-
-        let mut fault_events = 0u32;
-        let mut crashes = 0u32;
-        let mut recovery_secs = 0.0f64;
+        let mut out = IterationBreakdown::default();
 
         if self.sim.tracing_enabled() {
             let name = format!("iter {}", self.iter);
@@ -421,132 +514,57 @@ impl TrainingSim {
         }
 
         let (last_bwd, comm_done_at) = 'attempt: loop {
+            // Each worker's compute — forward, per-gradient readiness,
+            // backward completion — is scaled by the framework factor, the
+            // worker/iteration jitter, and any straggler fault window active
+            // at the attempt's start.
             let t_start = self.sim.now();
-            {
-                let mut cx = DdlCtx {
-                    sim: &mut self.sim,
-                    coll: &mut self.coll,
-                    cluster: &self.cluster,
-                    max_streams_now: streams_busy,
-                };
-                self.engine.begin_iteration(&mut cx, self.iter);
-            }
-
-            // Schedule each worker's compute: forward, per-gradient
-            // readiness, backward completion — all scaled by the framework
-            // factor, the worker/iteration jitter, and any straggler fault
-            // window active at the attempt's start.
             let attempt = ComputeAttempt {
                 world,
                 seed: self.cfg.seed,
                 jitter_frac: self.cfg.jitter_frac,
-                framework: fw,
+                framework: self.cfg.framework,
                 timing: &timing,
                 iter: self.iter,
             };
-            let last_bwd = schedule_worker_compute(&mut self.sim, &attempt, |w| {
-                self.cfg
-                    .stragglers
-                    .iter()
-                    .filter(|&&(sw, _)| sw == w)
-                    .map(|&(_, f)| f)
-                    .product::<f64>()
-                    * self.faults.compute_factor(self.cfg.cluster.node_of(w) as u32, t_start)
+            let (cfg, faults) = (&self.cfg, &self.faults);
+            let last_bwd = self.driver.begin_iteration(&mut self.sim, &attempt, |w| {
+                cfg.stragglers.iter().filter(|&&(sw, _)| sw == w).map(|&(_, f)| f).product::<f64>()
+                    * faults.compute_factor(cfg.cluster.node_of(w) as u32, t_start)
             });
 
             // Event loop until this iteration's communication completes.
-            let mut busy_workers = world;
             loop {
                 let Some((t, ev)) = self.sim.next_event() else {
                     panic!(
                         "simulation drained without finishing iteration {} of {}",
                         self.iter,
-                        self.engine.name()
+                        self.driver.engine().name()
                     );
                 };
-                let max_streams = if busy_workers > 0 { streams_busy } else { streams_idle };
                 match ev {
-                    Event::Timer(tok) if tok.kind == GRAD_KIND => {
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: max_streams,
-                        };
-                        self.engine.on_grad_ready(&mut cx, tok.a as usize, GradId(tok.b as u32));
-                    }
-                    Event::Timer(tok) if tok.kind == BWD_KIND => {
-                        busy_workers -= 1;
-                        if busy_workers == 0 && self.sim.tracing_enabled() {
-                            self.sim.trace_instant(
-                                track::TRAINER,
-                                0,
-                                "backward done",
-                                "phase",
-                                None,
-                            );
-                        }
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: if busy_workers > 0 {
-                                streams_busy
-                            } else {
-                                streams_idle
-                            },
-                        };
-                        self.engine.on_backward_done(&mut cx, tok.a as usize);
-                    }
-                    Event::Timer(tok) if tok.kind == ENGINE_TIMER_KIND => {
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: max_streams,
-                        };
-                        self.engine.on_timer(&mut cx, tok.a, tok.b);
-                    }
                     Event::Timer(tok) if tok.kind == FAULT_CRASH_KIND => {
                         // Synchronous SGD: one crashed node kills the whole
                         // attempt. Tear down in-flight work, pay the
                         // restart, retry the iteration.
-                        crashes += 1;
-                        let pause = self.recovery_pause_secs();
-                        recovery_secs += pause;
-                        if self.sim.tracing_enabled() {
-                            let name = format!("crash n{}", tok.a);
-                            self.sim.trace_instant(track::TRAINER, 0, &name, "fault", Some(pause));
-                        }
-                        self.coll.cancel_all(&mut self.sim);
-                        let resume = t + SimDuration::from_secs_f64(pause);
-                        self.drain_to(resume, &mut fault_events, &mut crashes, &mut recovery_secs);
+                        let resume = t + self.crash(tok.a, &mut out);
+                        self.drain_to(resume, &mut out);
                         continue 'attempt;
                     }
-                    Event::Timer(_) => {}
-                    Event::FlowCompleted(f) => {
-                        if let Some(op) = self.coll.on_flow_completed(&mut self.sim, f) {
-                            let mut cx = DdlCtx {
-                                sim: &mut self.sim,
-                                coll: &mut self.coll,
-                                cluster: &self.cluster,
-                                max_streams_now: max_streams,
-                            };
-                            self.engine.on_collective_done(&mut cx, op);
-                        }
+                    Event::Timer(tok)
+                        if tok.kind == BWD_KIND
+                            && self.driver.busy_workers() == 1
+                            && self.sim.tracing_enabled() =>
+                    {
+                        // The last worker's backward, marked before the
+                        // engine reacts to it.
+                        self.sim.trace_instant(track::TRAINER, 0, "backward done", "phase", None);
                     }
-                    Event::Fault(rec) => {
-                        fault_events += 1;
-                        let mut cx = DdlCtx {
-                            sim: &mut self.sim,
-                            coll: &mut self.coll,
-                            cluster: &self.cluster,
-                            max_streams_now: max_streams,
-                        };
-                        self.engine.on_fault(&mut cx, &rec);
-                    }
+                    Event::Fault(_) => out.fault_events += 1,
+                    _ => {}
                 }
-                if busy_workers == 0 && self.engine.comm_done() {
+                self.driver.on_event(&mut self.sim, ev);
+                if self.driver.comm_done() {
                     break 'attempt (last_bwd, t);
                 }
             }
@@ -561,20 +579,16 @@ impl TrainingSim {
             self.sim.trace_instant(track::TRAINER, 0, "comm done", "phase", None);
         }
         let end = comm_done_at.max(last_bwd) + timing.update;
-        let end = self.drain_to(end, &mut fault_events, &mut crashes, &mut recovery_secs);
+        let end = self.drain_to(end, &mut out);
         if self.sim.tracing_enabled() {
             let name = format!("iter {}", self.iter);
             self.sim.trace_span_end(track::TRAINER, 0, &name, "iteration");
         }
         self.iter += 1;
-        IterationBreakdown {
-            backward_end_secs: (last_bwd - t0).as_secs_f64(),
-            comm_done_secs: (comm_done_at.max(t0) - t0).as_secs_f64(),
-            iter_secs: (end - t0).as_secs_f64(),
-            fault_events,
-            crashes,
-            recovery_secs,
-        }
+        out.backward_end_secs = (last_bwd - t0).as_secs_f64();
+        out.comm_done_secs = (comm_done_at.max(t0) - t0).as_secs_f64();
+        out.iter_secs = (end - t0).as_secs_f64();
+        out
     }
 
     /// Runs the configured warm-up + measured iterations and reports
@@ -590,7 +604,7 @@ impl TrainingSim {
         let world = self.cfg.cluster.world_size();
         let batch = self.batch_per_gpu();
         ThroughputReport::new(
-            self.engine.name(),
+            self.driver.engine().name(),
             self.cfg.model.name().to_string(),
             world,
             batch,

@@ -623,14 +623,12 @@ fn cmd_schedule(argv: &[String]) -> Result<(), String> {
             // the cluster-median slowdown get the NIC-health mitigation.
             cfg = cfg.with_faults(plan.clone()).with_straggler_mitigation(1.3);
         }
-        if args.trace.is_some() {
-            let (report, json) = MultiJobSim::new(cfg).run_with_trace();
-            (sched_render(&report), report.solver.to_string(), json)
-        } else {
-            let report = aiacc::sched::run_multijob(cfg);
-            (sched_render(&report), report.solver.to_string(), String::new())
-        }
+        let sim = MultiJobSim::try_new(cfg).map_err(|e| e.to_string())?;
+        let (report, json) =
+            if args.trace.is_some() { sim.run_with_trace() } else { (sim.run(), String::new()) };
+        Ok((sched_render(&report), report.solver.to_string(), json))
     });
+    let blocks = blocks.into_iter().collect::<Result<Vec<_>, String>>()?;
     for (policy, (block, solver, json)) in policies.iter().zip(&blocks) {
         println!("# policy {}", policy.name());
         print!("{block}");

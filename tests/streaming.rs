@@ -25,13 +25,30 @@ fn base_cfg(gpus: usize) -> MultiJobCfg {
 /// Streaming a saved trace with per-job rows reproduces the batch run of
 /// the same workload exactly: same per-job TSV rows, summary means within
 /// float-fold tolerance, percentiles within the sketch bound (here exact,
-/// because the sample count is far below the sketch capacity).
+/// because the sample count is far below the sketch capacity). The second
+/// workload's arrival order differs from its id order: batch replays it in
+/// arrival order, and the trace lists it that way.
 #[test]
 fn stream_trace_replay_matches_batch() {
     let wl =
         Workload::generate(&WorkloadCfg::new(60, 11).with_mix(JobMix::Tiny).with_interarrival(1.0));
-    let trace_path = tmp_path("diff.tsv");
-    std::fs::write(&trace_path, wl.to_tsv()).unwrap();
+    assert_stream_replay_matches_batch(&wl, "diff.tsv");
+
+    // Job i takes job (7·i mod 60)'s arrival: distinct instants, scrambled
+    // against the ids.
+    let mut shuffled = wl.clone();
+    for (i, j) in shuffled.jobs.iter_mut().enumerate() {
+        j.arrival_secs = wl.jobs[(7 * i) % wl.jobs.len()].arrival_secs;
+    }
+    assert!(shuffled.jobs.windows(2).any(|w| w[1].arrival_secs < w[0].arrival_secs));
+    assert_stream_replay_matches_batch(&shuffled, "diff_shuffled.tsv");
+}
+
+fn assert_stream_replay_matches_batch(wl: &Workload, trace_name: &str) {
+    let mut in_arrival_order = wl.clone();
+    in_arrival_order.jobs.sort_by(|a, b| a.arrival_secs.total_cmp(&b.arrival_secs));
+    let trace_path = tmp_path(trace_name);
+    std::fs::write(&trace_path, in_arrival_order.to_tsv()).unwrap();
 
     let batch = MultiJobSim::new(MultiJobCfg::new(
         ClusterSpec::tcp_v100(32),
