@@ -172,6 +172,19 @@ pub struct AiaccStats {
     pub resubmissions: u64,
 }
 
+/// Per-iteration counts kept alongside the vectors they summarize, so a
+/// gradient-ready event costs O(1) instead of scans over every gradient and
+/// worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Counts {
+    /// Gradients agreed by a sync round (set bits of `synced`).
+    synced: usize,
+    /// Workers whose un-synchronized ready volume reached the granularity.
+    full_workers: usize,
+    /// Workers that finished backward.
+    done_workers: usize,
+}
+
 /// A dispatched unit plus its watchdog state.
 #[derive(Debug)]
 struct InflightUnit {
@@ -213,6 +226,7 @@ pub struct AiaccEngine {
     inflight: HashMap<OpId, InflightUnit>,
     sync_in_flight: bool,
     backward_done: Vec<bool>,
+    counts: Counts,
     stats: AiaccStats,
 }
 
@@ -245,6 +259,7 @@ impl AiaccEngine {
             inflight: HashMap::new(),
             sync_in_flight: false,
             backward_done: vec![false; world],
+            counts: Counts::default(),
             stats: AiaccStats::default(),
         }
     }
@@ -270,17 +285,42 @@ impl AiaccEngine {
     }
 
     fn all_backward_done(&self) -> bool {
-        self.backward_done.iter().all(|&b| b)
+        self.counts.done_workers == self.world
+    }
+
+    /// [`Counts`] recomputed by scanning the vectors they summarize.
+    fn scanned_counts(&self) -> Counts {
+        let gran = self.cfg.granularity;
+        Counts {
+            synced: self.synced.count_ready(),
+            full_workers: self.unsynced_bytes.iter().filter(|&&b| b >= gran).count(),
+            done_workers: self.backward_done.iter().filter(|&&b| b).count(),
+        }
+    }
+
+    /// Adds `delta` bytes to `worker`'s un-synchronized ready volume,
+    /// clamped at zero, tracking whether it is at or above the granularity.
+    fn add_unsynced(&mut self, worker: usize, delta: f64) {
+        let gran = self.cfg.granularity;
+        let b = &mut self.unsynced_bytes[worker];
+        let was_full = *b >= gran;
+        *b = (*b + delta).max(0.0);
+        match (was_full, *b >= gran) {
+            (false, true) => self.counts.full_workers += 1,
+            (true, false) => self.counts.full_workers -= 1,
+            _ => {}
+        }
     }
 
     /// Triggers a sync round when warranted: any worker's un-synchronized
     /// ready volume has reached the granularity, or backward has finished and
     /// gradients remain unagreed.
     fn maybe_trigger_sync(&mut self, cx: &mut DdlCtx<'_>) {
-        if self.sync_in_flight || self.synced.all_ready() {
+        debug_assert_eq!(self.counts, self.scanned_counts());
+        if self.sync_in_flight || self.counts.synced == self.registry.len() {
             return;
         }
-        let bucket_full = self.unsynced_bytes.iter().any(|&b| b >= self.cfg.granularity);
+        let bucket_full = self.counts.full_workers > 0;
         let flush = self.all_backward_done();
         if bucket_full || flush {
             self.sync_in_flight = true;
@@ -315,10 +355,11 @@ impl AiaccEngine {
         for id in agreed.iter_ready() {
             if !self.synced.get(id) {
                 self.synced.set(id);
+                self.counts.synced += 1;
                 new_ids.push(id);
                 let bytes = self.registry.get(id).bytes;
-                for b in self.unsynced_bytes.iter_mut() {
-                    *b = (*b - bytes).max(0.0);
+                for w in 0..self.world {
+                    self.add_unsynced(w, -bytes);
                 }
             }
         }
@@ -474,17 +515,22 @@ impl DdlEngine for AiaccEngine {
         self.inflight.clear();
         self.sync_in_flight = false;
         self.backward_done.fill(false);
+        self.counts = Counts::default();
         self.stats = AiaccStats::default();
     }
 
     fn on_grad_ready(&mut self, cx: &mut DdlCtx<'_>, worker: usize, grad: GradId) {
         self.ready[worker].set(grad);
-        self.unsynced_bytes[worker] += self.registry.get(grad).bytes;
+        self.add_unsynced(worker, self.registry.get(grad).bytes);
         self.maybe_trigger_sync(cx);
     }
 
     fn on_backward_done(&mut self, cx: &mut DdlCtx<'_>, worker: usize) {
-        self.backward_done[worker] = true;
+        if !self.backward_done[worker] {
+            self.backward_done[worker] = true;
+            self.counts.done_workers += 1;
+        }
+        debug_assert_eq!(self.counts, self.scanned_counts());
         if self.all_backward_done() {
             // Final flush: agree on (and send) everything that remains.
             self.maybe_trigger_sync(cx);
@@ -720,6 +766,37 @@ mod tests {
         // Both runs complete; the bounded one never finishes later than the
         // thrashing one since it stops cancelling work that would land.
         assert!(t_bounded > 0.0 && t_bounded <= t_unbounded + 1e-9);
+    }
+
+    #[test]
+    fn repeated_reports_keep_counters_equal_to_scans() {
+        let model = zoo::tiny_cnn();
+        let spec = ClusterSpec::tcp_v100(8);
+        let mut sim = Simulator::new();
+        let cluster = ClusterNet::build(&spec, sim.net_mut());
+        let mut coll = CollectiveEngine::new();
+        // A 1-byte granularity: any ready gradient fills its worker's bucket.
+        let cfg = AiaccConfig::default().with_granularity(1.0);
+        let mut eng = AiaccEngine::new(&model, spec.world_size(), cfg);
+        let mut cx =
+            DdlCtx { sim: &mut sim, coll: &mut coll, cluster: &cluster, max_streams_now: 4 };
+        eng.begin_iteration(&mut cx, 0);
+        let g = GradId(0);
+        for w in 0..spec.world_size() {
+            eng.on_grad_ready(&mut cx, w, g);
+        }
+        eng.on_grad_ready(&mut cx, 3, g); // reported twice
+        eng.on_backward_done(&mut cx, 5);
+        eng.on_backward_done(&mut cx, 5); // reported twice
+        assert_eq!(eng.counts, eng.scanned_counts());
+        assert_eq!(eng.counts.done_workers, 1);
+        assert_eq!(eng.counts.full_workers, spec.world_size());
+        // The sync round agrees on the gradient and subtracts it from every
+        // bucket once; only worker 3's duplicate volume is left.
+        eng.on_timer(&mut cx, TIMER_SYNC_DONE, 0);
+        assert_eq!(eng.counts, eng.scanned_counts());
+        assert_eq!(eng.counts.synced, 1);
+        assert_eq!(eng.counts.full_workers, 1);
     }
 
     #[test]

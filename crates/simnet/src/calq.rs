@@ -18,6 +18,17 @@
 //! parked in an overflow list and migrated into the wheel as the cursor
 //! approaches them, so a single far-future watchdog timer cannot degrade
 //! the common case.
+//!
+//! Sorted batches can skip the wheel: [`CalendarQueue::push_run`] stores a
+//! time-sorted batch as one *run* that pops from its front, merged against
+//! the wheel through a small heap of run heads. A run takes a consecutive
+//! block of insertion stamps, so the merge on `(time, stamp)` pops exactly
+//! what one-by-one pushes would. This is the shape of one worker's
+//! gradient-ready timers under wait-free backprop.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One queued entry: an absolute time in nanoseconds, the insertion stamp
 /// used for deterministic tie-breaks, and the caller's payload.
@@ -70,11 +81,11 @@ pub struct CalendarQueue<T> {
     /// The wheel: `buckets.len()` is a power of two; an entry with day
     /// `d = at >> shift` inside the horizon lives in `buckets[d & mask]`,
     /// a min-on-`(at, seq)` heap (see the reversed [`Ord`] on [`Entry`]).
-    buckets: Vec<std::collections::BinaryHeap<Entry<T>>>,
+    buckets: Vec<BinaryHeap<Entry<T>>>,
     /// Entries at or beyond the horizon when they were pushed, as a
     /// min-on-`(at, seq)` heap: migration pops only the eligible prefix
     /// instead of rescanning the whole overflow set.
-    far: std::collections::BinaryHeap<Entry<T>>,
+    far: BinaryHeap<Entry<T>>,
     /// log2 of the bucket width in nanoseconds.
     shift: u32,
     /// Search cursor: no *near* entry sits below this day once the scan has
@@ -82,20 +93,44 @@ pub struct CalendarQueue<T> {
     day: u64,
     /// Entries currently in the wheel (not counting `far`).
     near: usize,
-    /// Total entries.
+    /// Entries in the wheel and `far` (not counting runs).
     len: usize,
     /// Monotone insertion stamp for deterministic ties.
     seq: u64,
+    /// The wheel minimum found by the last scan, as `(bucket, time)`: the
+    /// bucket's top is the earliest wheel or `far` entry. Cleared by a wheel
+    /// pop, a rebuild, and a push of an earlier time; a push at or after
+    /// the cached time cannot displace that top (equal times lose the tie
+    /// on their later stamp), so it leaves the hint valid.
+    hint: Option<(usize, u64)>,
+    /// Run slots: each live run is a time-sorted deque of entries with
+    /// consecutive stamps. Empty slots keep their buffers for reuse.
+    runs: Vec<VecDeque<Entry<T>>>,
+    /// `(at, seq, slot)` of every live run's first entry, as a min-heap.
+    heads: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Empty run slots.
+    free_runs: Vec<usize>,
+    /// Entries across all runs.
+    run_len: usize,
 }
 
 const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 20;
 
+/// Where the earliest entry sits.
+#[derive(Clone, Copy)]
+enum Min {
+    /// The top of this wheel bucket.
+    Wheel(usize),
+    /// The head of the run on top of `heads`.
+    Run,
+}
+
 impl<T> Default for CalendarQueue<T> {
     fn default() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| std::collections::BinaryHeap::new()).collect(),
-            far: std::collections::BinaryHeap::new(),
+            buckets: (0..MIN_BUCKETS).map(|_| BinaryHeap::new()).collect(),
+            far: BinaryHeap::new(),
             // ~1 ms buckets until the first rebuild observes the real
             // inter-event spacing.
             shift: 20,
@@ -103,6 +138,11 @@ impl<T> Default for CalendarQueue<T> {
             near: 0,
             len: 0,
             seq: 0,
+            hint: None,
+            runs: Vec::new(),
+            heads: BinaryHeap::new(),
+            free_runs: Vec::new(),
+            run_len: 0,
         }
     }
 }
@@ -115,12 +155,12 @@ impl<T> CalendarQueue<T> {
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.run_len
     }
 
     /// Whether the queue holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     fn mask(&self) -> u64 {
@@ -142,6 +182,9 @@ impl<T> CalendarQueue<T> {
     pub fn push(&mut self, at: u64, item: T) {
         self.seq += 1;
         let entry = Entry { at, seq: self.seq, item };
+        if self.hint.is_some_and(|(_, hint_at)| at < hint_at) {
+            self.hint = None;
+        }
         let day = at >> self.shift;
         // A push behind the cursor (legal: "complete now" entries issued
         // while the cursor peeked ahead) moves the cursor back so the next
@@ -162,6 +205,46 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// Inserts a batch of entries that takes the next `n` insertion stamps
+    /// in order, so the entries pop exactly as `n` calls to [`Self::push`]
+    /// would make them pop. A time-sorted batch is stored as one run: a
+    /// deque merged against the wheel through a small heap of run heads,
+    /// so each entry costs a deque pop and a sift over the live runs
+    /// instead of a bucket push and a wheel scan. An entry earlier than its
+    /// predecessor keeps its stamp and starts a new run.
+    pub fn push_run(&mut self, items: impl IntoIterator<Item = (u64, T)>) {
+        let mut r = self.take_run_slot();
+        for (at, item) in items {
+            self.seq += 1;
+            if self.runs[r].back().is_some_and(|last| at < last.at) {
+                self.install_run(r);
+                r = self.take_run_slot();
+            }
+            self.runs[r].push_back(Entry { at, seq: self.seq, item });
+        }
+        self.install_run(r);
+    }
+
+    /// An empty run slot, reusing a spent buffer when one is free.
+    fn take_run_slot(&mut self) -> usize {
+        self.free_runs.pop().unwrap_or_else(|| {
+            self.runs.push(VecDeque::new());
+            self.runs.len() - 1
+        })
+    }
+
+    /// Makes the filled slot `r` live, or returns it to the free list if
+    /// it is empty.
+    fn install_run(&mut self, r: usize) {
+        match self.runs[r].front() {
+            Some(head) => {
+                self.heads.push(Reverse((head.at, head.seq, r)));
+                self.run_len += self.runs[r].len();
+            }
+            None => self.free_runs.push(r),
+        }
+    }
+
     /// Moves overflow entries that now fall inside the window into the
     /// wheel. Only the eligible prefix of the overflow heap is touched, so
     /// a deep backlog of genuinely-far entries costs nothing per call.
@@ -179,9 +262,13 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Locates the bucket holding the minimum entry (by `(at, seq)`),
-    /// advancing the cursor. The winner is the bucket's heap top.
-    fn find_min(&mut self) -> Option<usize> {
+    /// Locates the bucket holding the minimum wheel entry (by `(at, seq)`),
+    /// advancing the cursor, and caches it in the hint. The winner is the
+    /// bucket's heap top; returns `(bucket, time)`.
+    fn wheel_min(&mut self) -> Option<(usize, u64)> {
+        if self.hint.is_some() {
+            return self.hint;
+        }
         if self.len == 0 {
             return None;
         }
@@ -201,13 +288,59 @@ impl<T> CalendarQueue<T> {
             // `scan_all` may then leapfrog the cursor past `far_min_day`.
             // Migrate and rescan until the winner strictly precedes
             // everything still parked.
-            let cday = self.buckets[b].peek().expect("winning bucket non-empty").at >> self.shift;
-            if self.far_min_day() <= cday {
+            let at = self.buckets[b].peek().expect("winning bucket non-empty").at;
+            if self.far_min_day() <= at >> self.shift {
                 self.day = self.far_min_day();
                 self.migrate_far();
                 continue;
             }
-            return Some(b);
+            self.hint = Some((b, at));
+            return self.hint;
+        }
+    }
+
+    /// The earliest entry's time and location, wheel and runs merged on
+    /// `(at, seq)`.
+    fn find_min(&mut self) -> Option<(u64, Min)> {
+        let run = self.heads.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        match (self.wheel_min(), run) {
+            (None, None) => None,
+            (Some((b, at)), None) => Some((at, Min::Wheel(b))),
+            (None, Some((at, _))) => Some((at, Min::Run)),
+            (Some((b, wat)), Some((rat, rseq))) => {
+                // Only a tie on time needs the wheel entry's stamp.
+                let wheel_first =
+                    wat < rat || (wat == rat && self.buckets[b].peek().expect("hinted").seq < rseq);
+                Some(if wheel_first { (wat, Min::Wheel(b)) } else { (rat, Min::Run) })
+            }
+        }
+    }
+
+    /// Removes the entry `find_min` located.
+    fn take(&mut self, min: Min) -> (u64, T) {
+        match min {
+            Min::Wheel(b) => {
+                let e = self.buckets[b].pop().expect("winning bucket non-empty");
+                self.near -= 1;
+                self.len -= 1;
+                self.hint = None;
+                (e.at, e.item)
+            }
+            Min::Run => {
+                let mut top = self.heads.peek_mut().expect("a live run");
+                let r = top.0 .2;
+                let run = &mut self.runs[r];
+                let e = run.pop_front().expect("live runs are non-empty");
+                match run.front() {
+                    Some(next) => *top = Reverse((next.at, next.seq, r)),
+                    None => {
+                        PeekMut::pop(top);
+                        self.free_runs.push(r);
+                    }
+                }
+                self.run_len -= 1;
+                (e.at, e.item)
+            }
         }
     }
 
@@ -257,36 +390,32 @@ impl<T> CalendarQueue<T> {
 
     /// The earliest queued time, without removing the entry.
     pub fn peek_time(&mut self) -> Option<u64> {
-        let b = self.find_min()?;
-        Some(self.buckets[b].peek().expect("winning bucket non-empty").at)
+        self.find_min().map(|(at, _)| at)
     }
 
     /// The earliest entry's time and payload, without removing it.
     pub fn peek(&mut self) -> Option<(u64, &T)> {
-        let b = self.find_min()?;
-        let e = self.buckets[b].peek().expect("winning bucket non-empty");
-        Some((e.at, &e.item))
+        let (at, min) = self.find_min()?;
+        let e = match min {
+            Min::Wheel(b) => self.buckets[b].peek().expect("winning bucket non-empty"),
+            Min::Run => &self.runs[self.heads.peek().expect("a live run").0 .2][0],
+        };
+        Some((at, &e.item))
     }
 
     /// Removes and returns the earliest entry.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        let b = self.find_min()?;
-        let e = self.buckets[b].pop().expect("winning bucket non-empty");
-        self.near -= 1;
-        self.len -= 1;
-        Some((e.at, e.item))
+        let (_, min) = self.find_min()?;
+        Some(self.take(min))
     }
 
     /// Removes and returns the earliest entry iff its time is `<= t`.
     pub fn pop_due(&mut self, t: u64) -> Option<(u64, T)> {
-        let b = self.find_min()?;
-        if self.buckets[b].peek().expect("winning bucket non-empty").at > t {
+        let (at, min) = self.find_min()?;
+        if at > t {
             return None;
         }
-        let e = self.buckets[b].pop().expect("winning bucket non-empty");
-        self.near -= 1;
-        self.len -= 1;
-        Some((e.at, e.item))
+        Some(self.take(min))
     }
 
     /// Keeps only entries whose payload satisfies `f`, preserving each
@@ -299,11 +428,18 @@ impl<T> CalendarQueue<T> {
         }
         all.extend(self.far.drain().filter(|e| f(&e.item)));
         self.reload(all);
+        self.heads.clear();
+        self.free_runs.clear();
+        self.run_len = 0;
+        for r in 0..self.runs.len() {
+            self.runs[r].retain(|e| f(&e.item));
+            self.install_run(r);
+        }
     }
 
-    /// Recomputes bucket width/count from the current population and
-    /// redistributes every entry. Amortized against the pushes that grew
-    /// the queue past its trigger.
+    /// Recomputes bucket width/count from the wheel's population and
+    /// redistributes its entries. Amortized against the pushes that grew
+    /// the wheel past its trigger.
     fn rebuild(&mut self) {
         let mut all: Vec<Entry<T>> = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
@@ -315,6 +451,7 @@ impl<T> CalendarQueue<T> {
 
     /// Rebuilds the wheel around `all` (parameters chosen from its spread).
     fn reload(&mut self, all: Vec<Entry<T>>) {
+        self.hint = None;
         self.len = all.len();
         self.near = 0;
         self.far.clear();
@@ -346,7 +483,7 @@ impl<T> CalendarQueue<T> {
         }
         self.shift = shift;
         if self.buckets.len() != want {
-            self.buckets = (0..want).map(|_| std::collections::BinaryHeap::new()).collect();
+            self.buckets = (0..want).map(|_| BinaryHeap::new()).collect();
         } else {
             for b in &mut self.buckets {
                 b.clear();

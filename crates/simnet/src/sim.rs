@@ -70,6 +70,28 @@ pub enum Event {
     Fault(FaultRecord),
 }
 
+/// Checks a timer about to be queued at `at`, stamps the armed `scope`
+/// into it and counts it in `counts` (indexed by scope).
+fn admit(now: SimTime, scope: u32, counts: &mut Vec<u32>, at: SimTime, mut token: Token) -> Token {
+    assert!(at >= now, "scheduling in the past: {at} < {now}");
+    if scope != 0 {
+        assert!(
+            token.kind <= TOKEN_KIND_MASK,
+            "token kind {} collides with the armed scope stamp",
+            token.kind
+        );
+        token.kind |= scope << TOKEN_SCOPE_SHIFT;
+    }
+    let s = token.scope() as usize;
+    if s != 0 {
+        if s >= counts.len() {
+            counts.resize(s + 1, 0);
+        }
+        counts[s] += 1;
+    }
+    token
+}
+
 /// Discrete-event simulator combining a timer wheel with a [`FlowNet`].
 ///
 /// Events are delivered in time order; ties are broken deterministically
@@ -144,24 +166,27 @@ impl Simulator {
     /// # Panics
     /// Panics if `at` is in the past, or if a scope is armed and the token's
     /// kind does not fit below [`TOKEN_SCOPE_SHIFT`].
-    pub fn schedule_at(&mut self, at: SimTime, mut token: Token) {
-        assert!(at >= self.now(), "scheduling in the past: {at} < {}", self.now());
-        if self.token_scope != 0 {
-            assert!(
-                token.kind <= TOKEN_KIND_MASK,
-                "token kind {} collides with the armed scope stamp",
-                token.kind
-            );
-            token.kind |= self.token_scope << TOKEN_SCOPE_SHIFT;
-        }
-        let s = token.scope() as usize;
-        if s != 0 {
-            if s >= self.scoped_timers.len() {
-                self.scoped_timers.resize(s + 1, 0);
-            }
-            self.scoped_timers[s] += 1;
-        }
+    pub fn schedule_at(&mut self, at: SimTime, token: Token) {
+        let token = admit(self.now(), self.token_scope, &mut self.scoped_timers, at, token);
         self.timers.push(at.as_nanos(), token);
+    }
+
+    /// Schedules a batch of timers at absolute instants, exactly as calling
+    /// [`Self::schedule_at`] on each in order would: same firing order,
+    /// same scope stamps and counts. A batch sorted by time is queued as one
+    /// run (see [`CalendarQueue::push_run`]), which costs much less per
+    /// timer than the wheel; unsorted input stays correct.
+    ///
+    /// # Panics
+    /// As [`Self::schedule_at`], for any timer of the batch.
+    pub fn schedule_run(&mut self, timers: impl IntoIterator<Item = (SimTime, Token)>) {
+        let (now, scope) = (self.now(), self.token_scope);
+        let counts = &mut self.scoped_timers;
+        self.timers.push_run(
+            timers
+                .into_iter()
+                .map(|(at, token)| (at.as_nanos(), admit(now, scope, counts, at, token))),
+        );
     }
 
     /// Arms (or with `0` clears) the *token scope*: every timer scheduled and
@@ -422,6 +447,49 @@ mod tests {
         assert_eq!(pending(&sim), (1, 0));
         sim.next_event();
         assert_eq!(pending(&sim), (0, 0));
+    }
+
+    #[test]
+    fn schedule_run_matches_one_by_one_scheduling() {
+        // Per-worker batches: sorted stretches with equal-time ties, one
+        // descent, plus an empty and a one-entry batch.
+        let batches: Vec<Vec<(u64, Token)>> = (0..3u32)
+            .map(|w| {
+                [10, 20, 30, 30, 40, 35, 50]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &at)| (at + u64::from(w), Token::new(1, w, i as u64)))
+                    .collect()
+            })
+            .chain([vec![], vec![(30, Token::new(2, 9, 0))]])
+            .collect();
+        for scope in [0u32, 5] {
+            let drive = |by_run: bool| {
+                let mut sim = Simulator::new();
+                // An unscoped timer at an instant the batches also use.
+                sim.schedule_at(SimTime::from_nanos(30), Token::new(9, 0, 0));
+                for (i, batch) in batches.iter().enumerate() {
+                    sim.set_token_scope(scope);
+                    let timers = batch.iter().map(|&(at, tok)| (SimTime::from_nanos(at), tok));
+                    if by_run {
+                        sim.schedule_run(timers);
+                    } else {
+                        timers.for_each(|(at, tok)| sim.schedule_at(at, tok));
+                    }
+                    sim.set_token_scope(0);
+                    sim.schedule_at(SimTime::from_nanos(30), Token::new(8, 0, i as u64));
+                }
+                let mut log = vec![(SimTime::ZERO, None, sim.timers_pending_in_scope(scope))];
+                while let Some((t, ev)) = sim.next_event() {
+                    log.push((t, Some(ev), sim.timers_pending_in_scope(scope)));
+                }
+                log
+            };
+            let by_run = drive(true);
+            assert_eq!(by_run.len(), 1 + 1 + 3 * 7 + 1 + 5);
+            assert_eq!(by_run[0].2, if scope == 0 { 0 } else { 22 });
+            assert_eq!(by_run, drive(false), "scope {scope}");
+        }
     }
 
     #[test]

@@ -58,11 +58,14 @@ pub fn schedule_worker_compute(
             * fw.compute_factor()
             * compute_scale(w);
         let fwd = timing.forward.mul_f64(jf) + fw.per_iter_overhead();
-        for &(g, off) in &timing.grad_ready {
-            sim.schedule(fwd + off.mul_f64(jf), Token::new(GRAD_KIND, w as u32, g.0 as u64));
-        }
         let bwd_at = fwd + timing.backward.mul_f64(jf);
-        sim.schedule(bwd_at, Token::new(BWD_KIND, w as u32, 0));
+        // Wait-free backprop makes the worker's gradients ready in offset
+        // order, then backward ends: one time-sorted run.
+        let grads = timing.grad_ready.iter().map(|&(g, off)| {
+            (t_start + (fwd + off.mul_f64(jf)), Token::new(GRAD_KIND, w as u32, g.0 as u64))
+        });
+        let bwd = (t_start + bwd_at, Token::new(BWD_KIND, w as u32, 0));
+        sim.schedule_run(grads.chain(std::iter::once(bwd)));
         last_bwd = last_bwd.max(t_start + bwd_at);
     }
     last_bwd
