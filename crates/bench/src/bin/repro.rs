@@ -12,35 +12,29 @@
 //!             AIACC_JOBS or all cores; output is bit-identical to --jobs 1)
 //! ```
 
+use aiacc_bench::cli::{usage_error, Cli};
 use aiacc_bench::*;
 use std::path::PathBuf;
 
+const EXPERIMENTS: &str = "table1 bandwidth fig2 fig9 fig10 fig11 fig12 fig13 fig14 fig15 \
+                           fig_multijob fig_chaos ctr insightface dawnbench tuning ablations all";
+
 fn main() {
+    let usage = format!(
+        "usage: repro [EXPERIMENT ...] [--quick] [--out DIR] [--jobs N]\nEXPERIMENT: {EXPERIMENTS}"
+    );
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    let jobs_arg = args.iter().position(|a| a == "--jobs").and_then(|i| args.get(i + 1)).cloned();
-    if let Some(v) = &jobs_arg {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => aiacc_simnet::par::set_jobs(n),
-            _ => {
-                eprintln!("--jobs needs a positive integer, got {v}");
-                std::process::exit(2);
-            }
-        }
+    let cli = Cli::parse(&args, &["--quick", "--out", "--jobs"])
+        .unwrap_or_else(|e| usage_error(&e, &usage));
+    if let Some(bad) = cli.words.iter().find(|w| !EXPERIMENTS.split_whitespace().any(|e| e == *w)) {
+        usage_error(&format!("unknown experiment {bad}"), &usage);
     }
-    let mut wanted: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| Some(a.as_str()) != out_dir.to_str())
-        .filter(|a| Some(a.as_str()) != jobs_arg.as_deref())
-        .cloned()
-        .collect();
+    if let Some(n) = cli.jobs {
+        aiacc_simnet::par::set_jobs(n);
+    }
+    let quick = cli.quick;
+    let out_dir = PathBuf::from(cli.out.as_deref().unwrap_or("results"));
+    let mut wanted = cli.words;
     if wanted.is_empty() {
         wanted.push("all".to_string());
     }
@@ -105,13 +99,5 @@ fn main() {
         }
     }
 
-    if ran == 0 {
-        eprintln!(
-            "unknown experiment(s): {wanted:?}\nknown: table1 bandwidth fig2 fig9 fig10 fig11 \
-             fig12 fig13 fig14 fig15 fig_multijob fig_chaos ctr insightface dawnbench tuning \
-             ablations all"
-        );
-        std::process::exit(2);
-    }
     eprintln!("[repro] done: {ran} experiment(s); TSV in {}", out_dir.display());
 }

@@ -9,7 +9,7 @@
 
 use crate::report::{fnum, Table};
 use aiacc_cluster::ClusterSpec;
-use aiacc_sched::{summarize, MultiJobCfg, PlacePolicy, Workload, WorkloadCfg};
+use aiacc_sched::{summarize, ClusterMetrics, MultiJobCfg, PlacePolicy, Workload, WorkloadCfg};
 use aiacc_simnet::par;
 use aiacc_trainer::EngineKind;
 
@@ -19,13 +19,41 @@ pub const MULTIJOB_SWEEP: &[usize] = &[1, 2, 4, 8];
 /// A reduced sweep for quick runs.
 pub const MULTIJOB_QUICK_SWEEP: &[usize] = &[1, 4];
 
-/// The multi-job tail-JCT figure: comm-heavy jobs arriving on a
+/// One `(tenancy, engine)` cell of the multi-job figure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MultijobPoint {
+    /// Concurrent jobs in the workload.
+    pub njobs: usize,
+    /// Engine label (`aiacc` / `horovod`).
+    pub engine: &'static str,
+    /// Cluster metrics of the run.
+    pub metrics: ClusterMetrics,
+}
+
+/// Runs every cell of the multi-job figure: comm-heavy jobs arriving on a
 /// 4-node × 8-V100 TCP cluster under [`PlacePolicy::Spread`] (every gang
 /// touches every NIC — the high-contention regime), each tenancy level run
 /// once with every job on AIACC and once with every job on Horovod.
 ///
 /// Both runs share the workload seed, so arrivals, models, and gang sizes
 /// are identical pairs; only the communication engine differs.
+pub fn multijob_points(njobs_sweep: &[usize], iterations: usize) -> Vec<MultijobPoint> {
+    let mut cells = Vec::new();
+    for &n in njobs_sweep {
+        cells.push((n, EngineKind::aiacc_default()));
+        cells.push((n, EngineKind::Horovod(Default::default())));
+    }
+    par::map(&cells, |&(njobs, engine)| {
+        let wl = Workload::generate(
+            &WorkloadCfg::new(njobs, 7).with_engine(engine).with_iterations(iterations),
+        );
+        let cfg = MultiJobCfg::new(ClusterSpec::tcp_v100(32), PlacePolicy::Spread, wl);
+        let metrics = summarize(&aiacc_sched::run_multijob(cfg));
+        MultijobPoint { njobs, engine: engine.label(), metrics }
+    })
+}
+
+/// The multi-job tail-JCT figure, one row per [`multijob_points`] cell.
 pub fn fig_multijob(njobs_sweep: &[usize], iterations: usize) -> Table {
     let mut t = Table::new(
         "Multi-job: tail JCT under shared-fabric contention (spread placement, 4x8 V100, TCP)",
@@ -40,22 +68,11 @@ pub fn fig_multijob(njobs_sweep: &[usize], iterations: usize) -> Table {
             "jain",
         ],
     );
-    let mut points = Vec::new();
-    for &n in njobs_sweep {
-        points.push((n, EngineKind::aiacc_default()));
-        points.push((n, EngineKind::Horovod(Default::default())));
-    }
-    let metrics = par::map(&points, |&(njobs, engine)| {
-        let wl = Workload::generate(
-            &WorkloadCfg::new(njobs, 7).with_engine(engine).with_iterations(iterations),
-        );
-        let cfg = MultiJobCfg::new(ClusterSpec::tcp_v100(32), PlacePolicy::Spread, wl);
-        summarize(&aiacc_sched::run_multijob(cfg))
-    });
-    for ((njobs, engine), m) in points.iter().zip(&metrics) {
+    for p in multijob_points(njobs_sweep, iterations) {
+        let m = &p.metrics;
         t.push(vec![
-            njobs.to_string(),
-            engine.label().to_string(),
+            p.njobs.to_string(),
+            p.engine.to_string(),
             fnum(m.jct_p50_secs),
             fnum(m.jct_p99_secs),
             fnum(m.queue_delay_mean_secs),
@@ -70,7 +87,6 @@ pub fn fig_multijob(njobs_sweep: &[usize], iterations: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiacc_sched::ClusterMetrics;
 
     fn metrics_at(njobs: usize, engine: EngineKind) -> ClusterMetrics {
         let wl =

@@ -11,7 +11,6 @@
 //! slot pool and the quantile sketch compacts to a few thousand items no
 //! matter how many jobs flow through.
 
-use crate::report::{fnum, Table};
 use aiacc_cluster::ClusterSpec;
 use aiacc_sched::stream::{run_stream, ArrivalCfg, ArrivalProcess, StreamCfg, StreamStats};
 use aiacc_sched::{ClusterMetrics, JobMix, MultiJobCfg, PlacePolicy, Workload, WorkloadCfg};
@@ -113,43 +112,6 @@ pub fn steady_throughput(points: &[StreamPoint], engine: &str) -> f64 {
         .throughput_jobs_per_sec()
 }
 
-/// The streaming figure: one row per saturated engine cell plus the scale
-/// witness, with the backlog/sketch bounds that prove memory stays O(window).
-pub fn fig_stream(saturated_jobs: u64, scale_jobs: u64) -> Table {
-    let mut t = Table::new(
-        "Streaming: steady-state service capacity under saturating arrivals (packed, 4x8 V100, TCP)",
-        &[
-            "engine",
-            "jobs",
-            "throughput_jobs_per_s",
-            "jct_p50_s",
-            "jct_p99_s",
-            "peak_backlog",
-            "peak_active",
-            "sketch_items",
-            "sketch_rank_err",
-            "failed",
-        ],
-    );
-    let mut points = saturated_points(saturated_jobs);
-    points.push(scale_point(scale_jobs));
-    for p in points {
-        t.push(vec![
-            p.engine.to_string(),
-            p.jobs.to_string(),
-            fnum(p.throughput_jobs_per_sec()),
-            fnum(p.summary.jct_p50_secs),
-            fnum(p.summary.jct_p99_secs),
-            p.stats.peak_backlog.to_string(),
-            p.stats.peak_active.to_string(),
-            p.stats.sketch_stored_items.to_string(),
-            p.stats.sketch_max_rank_error.to_string(),
-            p.stats.failed.to_string(),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,10 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn figure_is_deterministic() {
-        let a = fig_stream(500, 500);
-        let b = fig_stream(500, 500);
-        assert_eq!(a.rows.len(), 3);
-        assert_eq!(a.rows, b.rows, "stream figure must be reproducible");
+    fn points_are_deterministic() {
+        let run = || (saturated_points(500), scale_point(500));
+        let (a, b) = (run(), run());
+        assert_eq!(a.0.len(), 2);
+        assert_eq!(a, b, "stream points must be reproducible");
     }
 }

@@ -1,6 +1,7 @@
-//! Minimal text/TSV table rendering for experiment output.
+//! Experiment output formats: text/TSV tables ([`Table`]) and the JSON
+//! reports the `bench` binary commits as `BENCH_*.json` ([`Json`]).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -93,6 +94,182 @@ pub fn fnum(v: f64) -> String {
     }
 }
 
+/// A JSON report value, rendered in the layout of the committed
+/// `BENCH_*.json` files: two-space indented objects, one-line row objects,
+/// one-line number arrays, and numbers written exactly as formatted here.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, already formatted with its field's decimals.
+    Num(String),
+    /// A string, written as UTF-8; only `"`, `\` and control characters are
+    /// escaped.
+    Str(String),
+    /// An array: on one line if every element is a number, else one element
+    /// per line.
+    Arr(Vec<Json>),
+    /// An object with one member per line.
+    Obj(Vec<(String, Json)>),
+    /// An object on one line (a table row). A member whose value is itself
+    /// a row starts a new line, indented two past the row.
+    Row(Vec<(String, Json)>),
+}
+
+/// Builds a [`Json::Obj`]: `obj! { "key" => value, ... }`, each value
+/// converted with `Json::from`.
+#[macro_export]
+macro_rules! obj {
+    ($($k:expr => $v:expr),* $(,)?) => {
+        $crate::Json::Obj(vec![$(($k.to_string(), $crate::Json::from($v))),*])
+    };
+}
+
+/// Builds a [`Json::Row`], like [`obj!`].
+#[macro_export]
+macro_rules! row {
+    ($($k:expr => $v:expr),* $(,)?) => {
+        $crate::Json::Row(vec![$(($k.to_string(), $crate::Json::from($v))),*])
+    };
+}
+
+impl Json {
+    /// A number in its `Display` form (integers; floats such as `0.25`).
+    pub fn num(v: impl fmt::Display) -> Json {
+        Json::Num(v.to_string())
+    }
+
+    /// A float with exactly `decimals` digits after the point.
+    pub fn fixed(v: f64, decimals: usize) -> Json {
+        Json::Num(format!("{v:.decimals$}"))
+    }
+
+    /// A float rounded to [`fnum`]'s precision tiers, then written in its
+    /// shortest form with at least one decimal (`13.4`, `0.52`, `1.0`).
+    pub fn short(v: f64) -> Json {
+        let rounded: f64 = fnum(v).parse().expect("fnum writes a float");
+        Json::Num(format!("{rounded:?}"))
+    }
+
+    /// An array of strings, one per line.
+    pub fn strs(items: &[&str]) -> Json {
+        Json::Arr(items.iter().map(|&s| s.into()).collect())
+    }
+
+    /// The document text, ending in a newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        let pad = |out: &mut String, n: usize| out.extend(std::iter::repeat_n(' ', n));
+        match self {
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Json::Num(n) => out.push_str(n),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) if items.iter().all(|v| matches!(v, Json::Num(_))) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    v.write(out, indent);
+                }
+                out.push(']');
+            }
+            Json::Arr(items) => {
+                out.push_str("[\n");
+                for (i, v) in items.iter().enumerate() {
+                    pad(out, indent + 2);
+                    v.write(out, indent + 2);
+                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                pad(out, indent);
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push_str("{\n");
+                for (i, (k, v)) in members.iter().enumerate() {
+                    pad(out, indent + 2);
+                    write_str(out, k);
+                    out.push_str(": ");
+                    v.write(out, indent + 2);
+                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
+                }
+                pad(out, indent);
+                out.push('}');
+            }
+            Json::Row(members) => {
+                out.push_str("{ ");
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 && matches!(v, Json::Row(_)) {
+                        out.push_str(",\n");
+                        pad(out, indent + 2);
+                    } else if i > 0 {
+                        out.push_str(", ");
+                    }
+                    write_str(out, k);
+                    out.push_str(": ");
+                    v.write(out, indent + 2);
+                }
+                out.push_str(" }");
+            }
+        }
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::num(v)
+            }
+        }
+    )*};
+}
+json_from_int!(u32, u64, usize);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +300,34 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("x\ty"));
         assert!(content.contains("1\t2"));
+    }
+
+    #[test]
+    fn json_layouts() {
+        let doc = obj! {
+            "s" => "a\"b\\c\n\u{1}—",
+            "rows" => Json::Arr(vec![row! { "n" => 1u64, "x" => Json::fixed(0.5, 3) }]),
+            "nums" => Json::Arr(vec![Json::num(1), Json::num(2.5)]),
+            "nested" => obj! { "ok" => true, "gated_by" => Json::strs(&["t"]) },
+            "wrap" => row! { "a" => Json::short(13.44), "t" => row! { "b" => Json::short(1.0) } },
+        };
+        let expect = r#"{
+  "s": "a\"b\\c\n\u0001—",
+  "rows": [
+    { "n": 1, "x": 0.500 }
+  ],
+  "nums": [1, 2.5],
+  "nested": {
+    "ok": true,
+    "gated_by": [
+      "t"
+    ]
+  },
+  "wrap": { "a": 13.4,
+    "t": { "b": 1.0 } }
+}
+"#;
+        assert_eq!(doc.render(), expect);
     }
 
     #[test]

@@ -9,6 +9,16 @@
 
 use aiacc_simnet::{FlowId, FlowNet, FlowSpec, SimDuration, SolverStats};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The worker pool serves one fan-out at a time and runs any other inline,
+/// so tests in this binary take turns: otherwise a concurrent test holding
+/// the pool makes `dense_wave_takes_parallel_path` see zero parallel solves.
+static POOL: Mutex<()> = Mutex::new(());
+
+fn pool_turn() -> MutexGuard<'static, ()> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Independent leaf links. Enough that a wave of starts dirties well over
 /// `PAR_SOLVE_MIN_COMPS` components, so the pool path actually engages.
@@ -132,6 +142,7 @@ fn run_scenario(waves: &[Wave], workers: usize, racked: bool) -> (Trace, SolverS
 /// components at once, which is well past the parallel threshold.
 #[test]
 fn dense_wave_takes_parallel_path() {
+    let _turn = pool_turn();
     let waves = vec![Wave {
         flows: (0..LINKS)
             .map(|link| WaveFlow { link, bytes: 1e4, cap: None, latency_ns: 0 })
@@ -155,6 +166,7 @@ proptest! {
     /// and 8 produce bit-identical traces and solver counters.
     #[test]
     fn parallel_solve_is_bit_identical_flat(waves in prop::collection::vec(wave(), 2..6)) {
+        let _turn = pool_turn();
         let (serial, stats1) = run_scenario(&waves, 1, false);
         for workers in [2usize, 8] {
             let (par, stats_n) = run_scenario(&waves, workers, false);
@@ -171,6 +183,7 @@ proptest! {
     /// contract with multi-resource components.
     #[test]
     fn parallel_solve_is_bit_identical_racked(waves in prop::collection::vec(wave(), 2..6)) {
+        let _turn = pool_turn();
         let (serial, stats1) = run_scenario(&waves, 1, true);
         for workers in [2usize, 8] {
             let (par, stats_n) = run_scenario(&waves, workers, true);

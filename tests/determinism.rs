@@ -60,13 +60,14 @@ fn tuner_is_reproducible_given_seed() {
 #[test]
 fn parallel_sweeps_are_bit_identical_across_worker_counts() {
     use aiacc::simnet::par;
-    // A figure table (many independent sweep points) and a tuning report
+    // Figure tables (many independent sweep points) and a tuning report
     // (batched tuner) must not change by a single byte when the worker
-    // count does. Serialize both to their TSV form to compare the exact
-    // bytes a user would diff.
+    // count does. Serialize the tables to their TSV form to compare the
+    // exact bytes a user would diff.
     let run = |jobs: usize| {
         par::set_jobs(jobs);
-        let table = aiacc_bench::ablation_granularity().to_tsv();
+        let table = aiacc_bench::fig9_cv(aiacc_bench::QUICK_GPU_SWEEP).to_tsv()
+            + &aiacc_bench::ablation_granularity().to_tsv();
         let (cfg, report) = aiacc::trainer::tune::tune_aiacc(
             &zoo::tiny_cnn(),
             &ClusterSpec::tcp_v100(8),
